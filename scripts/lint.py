@@ -47,6 +47,12 @@ contracts"):
    the per-operator NextBatch chain, so its density/epoch contract is
    only reviewable through that one marked class — losing the marker
    (or its table row) would let the fused path drift unreviewed.
+
+7. no-throwing-conversions — no std::sto* (stoi, stol, stoll, stoul,
+   stoull, stof, stod, stold) call in src/. They throw on malformed or
+   out-of-range input and src/ catches nothing, so one client literal
+   such as `99999999999999999999` would abort the serving process.
+   Parse with std::from_chars and return a Status instead.
 """
 
 import json
@@ -419,6 +425,21 @@ def check_vm_entry():
             "vectors')")
 
 
+# --------------------------------------------- 7. throwing conversions
+STO_RE = re.compile(r"(?<![\w:])(?:std\s*::\s*)?sto(?:i|l|ll|ul|ull|f|d|ld)\s*\(")
+
+
+def check_throwing_conversions():
+    """std::sto* throws on out-of-range input; src/ has no catch, so a
+    client literal would terminate the process."""
+    for path in src_files():
+        code = strip_comments(read(path))
+        for m in STO_RE.finditer(code):
+            err(path, line_of(code, m.start()),
+                f"'{m.group(0).rstrip('(').strip()}' throws on bad input; "
+                "use std::from_chars and return a Status")
+
+
 def main():
     check_mutex_guards()
     check_atomic_orders()
@@ -426,6 +447,7 @@ def main():
     check_bench_fields()
     check_header_cycles()
     check_vm_entry()
+    check_throwing_conversions()
     if errors:
         for e in errors:
             print(e, file=sys.stderr)

@@ -1108,14 +1108,21 @@ class FlatOp : public PhysOperator {
   RowBatch child_batch_;
 };
 
-/// Physical project with set-semantics duplicate elimination. Density
-/// contract (operator-contract table, docs/ARCHITECTURE.md §"Selection
-/// vectors"): only the child's selected rows are projected into the
-/// dedup set; the output batch is dense by construction.
-class ProjectDedup : public PhysOperator {
+/// Physical project with set-semantics duplicate elimination, elided
+/// when the rows are distinct by construction (DistinctProjectKey: the
+/// projection keeps an extent scan's variable) — the projected columns
+/// then move through like a Map's. Density contract (operator-contract table,
+/// docs/ARCHITECTURE.md §"Selection vectors"): deduping, only the
+/// child's selected rows are projected into the dedup set and the
+/// output batch is dense by construction; elided, the child's
+/// selection passes through unchanged.
+class ProjectOp : public PhysOperator {
  public:
-  ProjectDedup(PhysOpPtr child, std::vector<std::string> refs)
-      : PhysOperator(std::move(refs)), child_(std::move(child)) {
+  ProjectOp(PhysOpPtr child, std::vector<std::string> refs,
+            std::string distinct_key)
+      : PhysOperator(std::move(refs)),
+        child_(std::move(child)),
+        distinct_key_(std::move(distinct_key)) {
     for (const std::string& r : refs_) {
       child_index_.push_back(child_->RefIndex(r));
     }
@@ -1134,7 +1141,7 @@ class ProjectDedup : public PhysOperator {
       for (size_t i = 0; i < refs_.size(); ++i) {
         (*row)[i] = child_row[child_index_[i]];
       }
-      if (seen_.insert(*row).second) {
+      if (!distinct_key_.empty() || seen_.insert(*row).second) {
         ++rows_produced_;
         return true;
       }
@@ -1142,6 +1149,20 @@ class ProjectDedup : public PhysOperator {
   }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
+    if (!distinct_key_.empty()) {
+      VODAK_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&child_batch_));
+      if (!more) return false;
+      batch->Reset(refs_.size());
+      for (size_t c = 0; c < refs_.size(); ++c) {
+        batch->column(c) = std::move(child_batch_.column(child_index_[c]));
+      }
+      batch->set_num_rows(child_batch_.num_rows());
+      if (child_batch_.has_selection()) {
+        batch->SetSelection(child_batch_.TakeSelection());
+      }
+      rows_produced_ += batch->active_rows();
+      return true;
+    }
     Row projected;
     for (;;) {
       VODAK_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&child_batch_));
@@ -1170,7 +1191,9 @@ class ProjectDedup : public PhysOperator {
     seen_.clear();
   }
   std::string name() const override { return "Project"; }
-  std::string params() const override { return Join(refs_, ", "); }
+  std::string params() const override {
+    return Join(refs_, ", ") + " " + DedupAnnotation(distinct_key_);
+  }
   const std::vector<const PhysOperator*> children() const override {
     return {child_.get()};
   }
@@ -1178,6 +1201,8 @@ class ProjectDedup : public PhysOperator {
  private:
   PhysOpPtr child_;
   std::vector<int> child_index_;
+  /// DistinctProjectKey of the logical project; "" runs the dedup.
+  std::string distinct_key_;
   std::unordered_set<Row, RowHash, RowEq> seen_;
   RowBatch child_batch_;
 };
@@ -1459,8 +1484,8 @@ Result<PhysOpPtr> BuildPhysicalImpl(const LogicalRef& plan,
     case LogicalOp::kProject: {
       VODAK_ASSIGN_OR_RETURN(PhysOpPtr child,
                              BuildPhysicalImpl(plan->input(0), ctx, state, leaf_preds));
-      return PhysOpPtr(
-          new ProjectDedup(std::move(child), plan->projection()));
+      return PhysOpPtr(new ProjectOp(std::move(child), plan->projection(),
+                                     DistinctProjectKey(*plan)));
     }
     case LogicalOp::kGroupRef:
       return Status::PlanError(
@@ -1496,6 +1521,24 @@ void CreateSharedJoinSlots(const LogicalRef& plan,
 }
 
 }  // namespace
+
+std::string DistinctProjectKey(const LogicalNode& project) {
+  if (project.op() != LogicalOp::kProject) return "";
+  const LogicalNode* node = project.input(0).get();
+  while (node->op() == LogicalOp::kSelect || node->op() == LogicalOp::kMap) {
+    node = node->input(0).get();
+  }
+  if (node->op() != LogicalOp::kGet) return "";
+  const std::vector<std::string>& refs = project.projection();
+  return std::find(refs.begin(), refs.end(), node->ref()) != refs.end()
+             ? node->ref()
+             : "";
+}
+
+std::string DedupAnnotation(const std::string& distinct_key) {
+  return distinct_key.empty() ? "[dedup: kept]"
+                              : "[dedup: elided, key " + distinct_key + "]";
+}
 
 Result<PhysOpPtr> BuildPhysical(const LogicalRef& plan,
                                 const ExecContext& ctx) {
@@ -1584,8 +1627,12 @@ Result<ParallelPlanStatePtr> PrepareParallelPlan(const LogicalRef& plan,
         node = node->input(0).get();
         break;
       case LogicalOp::kProject:
-        // Workers dedup locally; the driver must dedup the merge.
-        state->needs_final_dedup = true;
+        // Workers dedup locally; the driver must dedup the merge —
+        // unless the rows are distinct by construction (each OID of
+        // the driving extent lands in exactly one morsel).
+        if (DistinctProjectKey(*node).empty()) {
+          state->needs_final_dedup = true;
+        }
         node = node->input(0).get();
         break;
       case LogicalOp::kGet:

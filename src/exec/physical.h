@@ -160,6 +160,22 @@ struct ExecContext {
 Result<PhysOpPtr> BuildPhysical(const algebra::LogicalRef& plan,
                                 const ExecContext& ctx);
 
+/// The set-semantics dedup decision for a logical Project, shared by
+/// BuildPhysical and the VM compiler. Returns the scan variable that
+/// makes the projected rows distinct by construction, or "" when the
+/// dedup must run. Rows are distinct when the projection keeps the
+/// variable of a kGet leaf reached through Select/Map nodes only: every
+/// extent, segment, morsel and shared-scan source yields each OID of
+/// the extent exactly once at the pinned snapshot, Select only drops
+/// rows and Map only adds columns, so no two rows share that column.
+/// Flat, joins, set operators, method scans and projections that drop
+/// the scan variable keep the dedup.
+std::string DistinctProjectKey(const algebra::LogicalNode& project);
+
+/// EXPLAIN annotation of that decision: `[dedup: elided, key p]` for a
+/// distinct key, `[dedup: kept]` for "".
+std::string DedupAnnotation(const std::string& distinct_key);
+
 /// Builds the private batch source for a scan leaf (kGet → extent
 /// cursor, kExprSource → method/expression scan), honoring the
 /// context's shared-scan attachment exactly like BuildPhysical's leaf

@@ -150,8 +150,9 @@ BatchEnv VmExec::RegEnv() const {
 size_t VmExec::Emit(RowBatch* out) {
   const size_t out_cols = program_.out_regs.size();
   if (!program_.project_dedup) {
-    // Map-style hand-off: registers move into the output columns and
-    // the register file's selection transplants (the registers are
+    // Map-style hand-off (also a project whose rows are distinct by
+    // construction): registers move into the output columns and the
+    // register file's selection transplants (the registers are
     // rebuilt from the next scan batch anyway).
     out->Reset(out_cols);
     for (size_t c = 0; c < out_cols; ++c) {

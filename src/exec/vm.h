@@ -102,6 +102,10 @@ struct VmProgram {
   std::vector<std::string> out_refs;
   /// Root was a logical project: gather + set-semantics dedup on emit.
   bool project_dedup = false;
+  /// Root was a logical project whose rows are distinct by
+  /// construction (DistinctProjectKey): the scan variable it keeps.
+  /// The dedup is elided and the projected registers move like a map's.
+  std::string distinct_key;
   size_t flag_slots = 0;
   size_t scratch_slots = 0;
   /// One-line compilation summary for EXPLAIN.
@@ -177,8 +181,9 @@ class QueryArena {
 /// Density contract (operator-contract table, docs/ARCHITECTURE.md
 /// §"Selection vectors"): consumes dense scan batches, emits selected
 /// batches (filters mark survivors in the register file's selection)
-/// or dense ones (project-dedup gathers). Reads resolve at the
-/// ExecContext's pinned snapshot epoch exactly like every tree
+/// or dense ones (project-dedup gathers; a project whose dedup is
+/// elided moves its registers and keeps the selection). Reads resolve
+/// at the ExecContext's pinned snapshot epoch exactly like every tree
 /// operator: the scan source and the embedded evaluator are both
 /// constructed against ExecContext::snapshot_epoch.  [vm-entry]
 class VmExec final : public PhysOperator {
@@ -194,7 +199,11 @@ class VmExec final : public PhysOperator {
   std::string params() const override {
     // Same uniform source annotation the tree's ScanOp prints: the VM
     // wraps a BatchSource leaf, and EXPLAIN must say which kind.
-    return program_.summary + " " + source_->annotation();
+    std::string out = program_.summary + " ";
+    if (program_.project_dedup || !program_.distinct_key.empty()) {
+      out += DedupAnnotation(program_.distinct_key) + " ";
+    }
+    return out + source_->annotation();
   }
   const std::vector<const PhysOperator*> children() const override {
     return {};

@@ -319,7 +319,8 @@ Result<VmChoice> TryCompileVm(const algebra::LogicalRef& plan,
   }
 
   if (chain.project != nullptr) {
-    lower.program.project_dedup = true;
+    lower.program.distinct_key = DistinctProjectKey(*chain.project);
+    lower.program.project_dedup = lower.program.distinct_key.empty();
     lower.program.out_refs = chain.project->projection();
     VmInstr in;
     in.op = OpCode::kProject;

@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -119,26 +120,65 @@ std::string StatusToken(const Status& status) {
   }
 }
 
-uint64_t ResultDigest(const Value& value) {
-  constexpr uint64_t kBasis = 1469598103934665603ull;
-  constexpr uint64_t kPrime = 1099511628211ull;
-  auto mix = [](uint64_t h, const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= kPrime;
+namespace {
+
+constexpr uint64_t kDigestBasis = 1469598103934665603ull;
+constexpr uint64_t kDigestPrime = 1099511628211ull;
+
+uint64_t MixBytes(uint64_t h, const char* data, size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
+    h *= kDigestPrime;
+  }
+  return h;
+}
+
+/// Mixes the bytes of `v.ToString()` plus a separator byte (so
+/// {"ab","c"} and {"a","bc"} digest differently). OIDs render into a
+/// stack buffer and STRING payloads mix in place, instead of a string
+/// per element; every other kind falls back to ToString itself.
+uint64_t MixElement(uint64_t h, const Value& v) {
+  char buf[48];
+  char* const end = buf + sizeof(buf);
+  switch (v.kind()) {
+    case Value::Kind::kOid: {
+      const Oid oid = v.AsOid();
+      char* p = buf;
+      *p++ = '#';
+      p = std::to_chars(p, end, oid.class_id).ptr;
+      *p++ = ':';
+      p = std::to_chars(p, end, oid.local).ptr;
+      h = MixBytes(h, buf, static_cast<size_t>(p - buf));
+      break;
     }
-    // Separator byte so {"ab","c"} and {"a","bc"} digest differently.
-    h ^= 0x1f;
-    h *= kPrime;
-    return h;
-  };
-  uint64_t h = kBasis;
+    case Value::Kind::kString: {
+      const std::string& s = v.AsString();
+      h = MixBytes(h, "'", 1);
+      h = MixBytes(h, s.data(), s.size());
+      h = MixBytes(h, "'", 1);
+      break;
+    }
+    default: {
+      const std::string s = v.ToString();
+      h = MixBytes(h, s.data(), s.size());
+      break;
+    }
+  }
+  h ^= 0x1f;
+  h *= kDigestPrime;
+  return h;
+}
+
+}  // namespace
+
+uint64_t ResultDigest(const Value& value) {
+  uint64_t h = kDigestBasis;
   if (value.is_set()) {
     // Sets are canonical (sorted, deduplicated), so element order is
     // deterministic across threads and runs.
-    for (const Value& v : value.AsSet()) h = mix(h, v.ToString());
+    for (const Value& v : value.AsSet()) h = MixElement(h, v);
   } else {
-    h = mix(h, value.ToString());
+    h = MixElement(h, value);
   }
   return h;
 }

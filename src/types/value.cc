@@ -11,14 +11,98 @@ Value Value::String(std::string s) {
   return Value(Repr(std::make_shared<const std::string>(std::move(s))));
 }
 
+namespace {
+
+/// True when every element is strictly below its successor under
+/// `less` — the input is already canonical and needs no sort.
+template <typename Less>
+bool StrictlyAscending(const std::vector<Value>& elements, Less less) {
+  for (size_t i = 1; i < elements.size(); ++i) {
+    if (!less(elements[i - 1], elements[i])) return false;
+  }
+  return true;
+}
+
+/// Canonicalizes a vector whose elements are all OIDs: sorts and
+/// dedups the unboxed OIDs, then rebuilds the elements from them. Among
+/// OIDs, Oid order and equality are exactly Value::Compare's and equal
+/// elements are indistinguishable, so the result equals the generic
+/// sort + unique.
+void CanonicalizeOids(std::vector<Value>* elements) {
+  if (StrictlyAscending(*elements, [](const Value& a, const Value& b) {
+        return a.AsOid() < b.AsOid();
+      })) {
+    return;
+  }
+  std::vector<Oid> oids;
+  oids.reserve(elements->size());
+  for (const Value& v : *elements) oids.push_back(v.AsOid());
+  std::sort(oids.begin(), oids.end());
+  oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
+  elements->clear();
+  for (const Oid& oid : oids) elements->push_back(Value::OfOid(oid));
+}
+
+/// The STRING counterpart: sorts indices by the unboxed strings, then
+/// moves the elements (shared payloads, no string copies) into order.
+void CanonicalizeStrings(std::vector<Value>* elements) {
+  const std::vector<Value>& e = *elements;
+  auto less = [](const Value& a, const Value& b) {
+    return a.AsString() < b.AsString();
+  };
+  if (StrictlyAscending(e, less)) return;
+  std::vector<uint32_t> order(e.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return less(e[a], e[b]); });
+  order.erase(std::unique(order.begin(), order.end(),
+                          [&](uint32_t a, uint32_t b) {
+                            return e[a].AsString() == e[b].AsString();
+                          }),
+              order.end());
+  std::vector<Value> sorted;
+  sorted.reserve(order.size());
+  for (uint32_t i : order) sorted.push_back(std::move((*elements)[i]));
+  *elements = std::move(sorted);
+}
+
+}  // namespace
+
 Value Value::Set(std::vector<Value> elements) {
-  std::sort(elements.begin(), elements.end(),
-            [](const Value& a, const Value& b) { return Compare(a, b) < 0; });
-  elements.erase(std::unique(elements.begin(), elements.end(),
-                             [](const Value& a, const Value& b) {
-                               return Compare(a, b) == 0;
-                             }),
-                 elements.end());
+  // All OIDs or all STRINGs take a typed path; anything else —
+  // including INT next to REAL, where 1 == 1.0 — keeps the generic
+  // Value::Compare path.
+  Kind kind = elements.empty() ? Kind::kNull : elements[0].kind();
+  for (const Value& v : elements) {
+    if (v.kind() != kind) {
+      kind = Kind::kNull;
+      break;
+    }
+  }
+  switch (kind) {
+    case Kind::kOid:
+      CanonicalizeOids(&elements);
+      break;
+    case Kind::kString:
+      CanonicalizeStrings(&elements);
+      break;
+    default: {
+      auto less = [](const Value& a, const Value& b) {
+        return Compare(a, b) < 0;
+      };
+      if (!StrictlyAscending(elements, less)) {
+        std::sort(elements.begin(), elements.end(), less);
+        elements.erase(std::unique(elements.begin(), elements.end(),
+                                   [](const Value& a, const Value& b) {
+                                     return Compare(a, b) == 0;
+                                   }),
+                       elements.end());
+      }
+      break;
+    }
+  }
   return Value(
       Repr(std::make_shared<const SetBox>(SetBox{std::move(elements)})));
 }

@@ -1,6 +1,7 @@
 #include "vql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 
 namespace vodak {
@@ -204,17 +205,25 @@ Result<std::vector<Token>> Lex(const std::string& source) {
         while (j < n && std::isdigit(static_cast<unsigned char>(source[j])))
           ++j;
       }
-      std::string num = source.substr(i, j - i);
-      i = j;
+      const char* first = source.data() + i;
+      const char* last = source.data() + j;
       Token t;
       t.offset = start;
+      std::from_chars_result parsed;
       if (is_real) {
         t.kind = TokenKind::kReal;
-        t.real_value = std::stod(num);
+        parsed = std::from_chars(first, last, t.real_value);
       } else {
         t.kind = TokenKind::kInt;
-        t.int_value = std::stoll(num);
+        parsed = std::from_chars(first, last, t.int_value);
       }
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::ParseError(
+            std::string(is_real ? "real" : "integer") + " literal '" +
+            source.substr(i, j - i) + "' out of range at offset " +
+            std::to_string(start));
+      }
+      i = j;
       tokens.push_back(std::move(t));
       continue;
     }

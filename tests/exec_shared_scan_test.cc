@@ -9,6 +9,7 @@
 // under TSan by scripts/ci.sh --tsan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -492,6 +493,114 @@ TEST_F(ExecSharedScanTest, NaiveConcurrentSharesTheExtentPass) {
   ASSERT_TRUE(oracle_batch.ok());
   for (size_t i = 0; i < texts.size(); ++i) {
     EXPECT_EQ(batch.value()[i], oracle_batch.value()[i]) << texts[i];
+  }
+}
+
+// ------------------------------------------------ dedup elision
+
+/// Drains one batch of `root` and appends every live value of column
+/// `col` to `out`, duplicates included (ExecuteColumn would fold them
+/// away). False at end of stream.
+bool DrainOneBatch(PhysOperator* root, int col, std::vector<Value>* out) {
+  RowBatch batch;
+  auto more = root->NextBatch(&batch);
+  EXPECT_TRUE(more.ok()) << more.status().ToString();
+  if (!more.ok() || !more.value()) return false;
+  for (size_t i = 0; i < batch.active_rows(); ++i) {
+    out->push_back(batch.column(col)[batch.RowAt(i)]);
+  }
+  return true;
+}
+
+TEST_F(ExecSharedScanTest, ElidedProjectDedupMatchesOracleWithLateAttachers) {
+  // A projection that keeps the scan variable skips its dedup, so the
+  // leaves' exactly-once delivery is all that keeps the rows distinct:
+  // a leaf that repeated an OID would now reach the caller as a
+  // duplicate row. The drains are staggered, so every query after the
+  // first attaches to the shared ring mid-scan and wraps around.
+  const ClassDef* paragraph = db_.catalog().FindClass("Paragraph");
+  uint32_t slots = 0;
+  for (const char* prop : {"number", "section"}) {
+    slots = std::max(slots, paragraph->FindProperty(prop)->slot + 1);
+  }
+  storage::PagerOptions pager;
+  pager.cache_pages = 4;
+  auto segments = storage::SegmentStore::Open(
+      ::testing::TempDir() + "vodak_shared_elide.pages", pager);
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  storage::IngestOptions ingest;
+  ingest.rows_per_segment = 16;
+  ASSERT_TRUE(segments.value()
+                  ->IngestClass(db_.store(), paragraph_class_, slots,
+                                db_.store().CurrentEpoch(), ingest)
+                  .ok());
+
+  const std::vector<std::string> texts = {
+      "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
+      "ACCESS p FROM p IN Paragraph",
+      "ACCESS p FROM p IN Paragraph WHERE p.number == 0",
+      "ACCESS p FROM p IN Paragraph WHERE p.number >= 1",
+  };
+  for (bool segment_leaves : {false, true}) {
+    for (bool shared : {false, true}) {
+      SCOPED_TRACE(std::string(segment_leaves ? "segment" : "extent") +
+                   (shared ? " leaves, shared ring" : " leaves, private"));
+      ExecContext ctx = exec_ctx_;
+      ctx.segments = segment_leaves ? segments.value().get() : nullptr;
+      SharedScanManager manager(&db_.store(), /*morsel_size=*/8,
+                                kEpochLatest, ctx.segments);
+      if (shared) {
+        ctx.shared_scans = &manager;
+        ctx.property_cache = manager.property_cache();
+      }
+      std::vector<PhysOpPtr> roots;
+      std::vector<int> cols;
+      for (const std::string& text : texts) {
+        const ConcurrentQuery query = MakeQuery(text);
+        auto root = BuildPhysical(query.plan, ctx);
+        ASSERT_TRUE(root.ok()) << root.status().ToString();
+        const std::string explain = ExplainPhysical(*root.value());
+        EXPECT_NE(explain.find("[dedup: elided, key p]"), std::string::npos)
+            << explain;
+        EXPECT_NE(explain.find(shared           ? "SharedScan"
+                               : segment_leaves ? "SegmentScan"
+                                                : "ExtentScan"),
+                  std::string::npos)
+            << explain;
+        cols.push_back(root.value()->RefIndex(query.result_ref));
+        roots.push_back(std::move(root.value()));
+      }
+      // Staggered opens: query i attaches after query i-1 took a batch.
+      std::vector<std::vector<Value>> got(texts.size());
+      std::vector<bool> done(texts.size(), false);
+      for (size_t i = 0; i < texts.size(); ++i) {
+        ASSERT_TRUE(roots[i]->Open().ok());
+        done[i] = !DrainOneBatch(roots[i].get(), cols[i], &got[i]);
+      }
+      for (bool progressed = true; progressed;) {
+        progressed = false;
+        for (size_t i = 0; i < texts.size(); ++i) {
+          if (done[i]) continue;
+          done[i] = !DrainOneBatch(roots[i].get(), cols[i], &got[i]);
+          progressed = progressed || !done[i];
+        }
+      }
+      for (const PhysOpPtr& root : roots) root->Close();
+      if (shared) {
+        EXPECT_EQ(manager.consumers_attached(), texts.size());
+        EXPECT_EQ(manager.materialized_scans(), 1u);
+        // The unfiltered query joined mid-ring: its first row is not
+        // the extent's first.
+        ASSERT_FALSE(got[1].empty());
+        EXPECT_NE(got[1].front(), RowModeOracle(texts[1]).AsSet().front());
+      }
+      for (size_t i = 0; i < texts.size(); ++i) {
+        const Value oracle = RowModeOracle(texts[i]);
+        EXPECT_EQ(got[i].size(), oracle.AsSet().size())
+            << texts[i] << ": a leaf delivered some row twice";
+        EXPECT_EQ(Value::Set(got[i]), oracle) << texts[i];
+      }
+    }
   }
 }
 

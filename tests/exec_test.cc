@@ -196,6 +196,56 @@ TEST_F(ExecTest, ExplainShowsOperatorTree) {
             std::string::npos);
 }
 
+TEST_F(ExecTest, ExplainShowsProjectDedupDecision) {
+  // Elided only where the rows are distinct by construction: the
+  // projection keeps an extent scan's variable through Select/Map.
+  for (const char* query : {
+           "ACCESS p FROM p IN Paragraph",
+           "ACCESS p FROM p IN Paragraph WHERE p.number == 0",
+           "ACCESS s FROM s IN Section WHERE s.number == 1",
+       }) {
+    const algebra::LogicalRef plan = Translate(query);
+    EXPECT_EQ(DistinctProjectKey(*plan), query[7] == 's' ? "s" : "p");
+    auto phys = BuildPhysical(plan, exec_ctx_);
+    ASSERT_TRUE(phys.ok()) << query;
+    const std::string explain = ExplainPhysical(*phys.value());
+    EXPECT_NE(explain.find(std::string("[dedup: elided, key ") + query[7] +
+                           "]"),
+              std::string::npos)
+        << query << "\n" << explain;
+    CheckAgainstEval(plan);
+  }
+  for (const char* query : {
+           // Projections that drop the scan variable.
+           "ACCESS p.number FROM p IN Paragraph",
+           "ACCESS d.title FROM d IN Document",
+           // Flat: p ranges over a dependent set, not an extent.
+           "ACCESS p FROM d IN Document, p IN d->paragraphs()",
+           // Flat fans each d out once per paragraph: d repeats.
+           "ACCESS d FROM d IN Document, p IN d->paragraphs()",
+           // Join: one p per matching section pair.
+           "ACCESS p FROM s IN Section, p IN Paragraph WHERE p.section == s",
+           // Method scan leaf.
+           "ACCESS p FROM p IN Paragraph->retrieve_by_string('implementation')",
+       }) {
+    const algebra::LogicalRef plan = Translate(query);
+    EXPECT_EQ(DistinctProjectKey(*plan), "") << query;
+    auto phys = BuildPhysical(plan, exec_ctx_);
+    ASSERT_TRUE(phys.ok()) << query;
+    const std::string explain = ExplainPhysical(*phys.value());
+    EXPECT_NE(explain.find("[dedup: kept]"), std::string::npos)
+        << query << "\n" << explain;
+    EXPECT_EQ(explain.find("elided"), std::string::npos)
+        << query << "\n" << explain;
+    // The drain emits each distinct row once.
+    auto rows = ExecuteToSet(phys.value().get());
+    ASSERT_TRUE(rows.ok()) << query;
+    EXPECT_EQ(phys.value()->rows_produced(), rows.value().AsSet().size())
+        << query;
+    CheckAgainstEval(plan);
+  }
+}
+
 TEST_F(ExecTest, RestrictedAlgebraDecomposition) {
   // §6.1: complex parameters decompose into atomic operator chains.
   vql::Binder binder(&db_.catalog());

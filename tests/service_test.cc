@@ -114,6 +114,71 @@ TEST(ProtocolTest, DigestIsOrderInsensitiveViaCanonicalSets) {
   EXPECT_EQ(DigestHex(ResultDigest(a)).size(), 16u);
 }
 
+/// The digest as first specified: FNV-1a over each element's
+/// ToString bytes plus a 0x1f separator. ResultDigest renders scalars
+/// without building those strings; its bytes must not drift.
+uint64_t ToStringDigest(const Value& value) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const std::string& s) {
+    for (char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+    h ^= 0x1f;
+    h *= 1099511628211ull;
+  };
+  if (value.is_set()) {
+    for (const Value& v : value.AsSet()) mix(v.ToString());
+  } else {
+    mix(value.ToString());
+  }
+  return h;
+}
+
+TEST(ProtocolTest, DigestMatchesToStringReferenceForEveryKind) {
+  const std::vector<Value> sets = {
+      Value::Set({}),
+      Value::Set({Value::OfOid(Oid(2, 1)), Value::OfOid(Oid(2, 40000)),
+                  Value::OfOid(Oid(4294967295u, 4294967295u)),
+                  Value::OfOid(Oid())}),
+      Value::Set({Value::Int(0), Value::Int(-7), Value::Int(INT64_MIN),
+                  Value::Int(INT64_MAX), Value::Int(1234567)}),
+      Value::Set({Value::String(""), Value::String("it's"),
+                  Value::String("Query Optimization"),
+                  Value::String("\xe9t\xe9")}),
+      Value::Set({Value::Bool(true), Value::Bool(false)}),
+      Value::Set({Value::Null()}),
+      Value::Set({Value::Real(2.5), Value::Real(-0.125), Value::Real(1e300)}),
+      Value::Set({Value::Set({Value::Int(1), Value::Int(2)}),
+                  Value::Array({Value::OfOid(Oid(1, 1))}),
+                  Value::Tuple({{"n", Value::Int(3)}, {"t", Value::String("x")}}),
+                  Value::Dict({{Value::Int(1), Value::String("a")}})}),
+      Value::Set({Value::Null(), Value::Int(3), Value::Real(3.5),
+                  Value::String("s"), Value::OfOid(Oid(5, 6))}),
+  };
+  for (const Value& s : sets) {
+    EXPECT_EQ(ResultDigest(s), ToStringDigest(s)) << s.ToString();
+  }
+  // Non-set results digest as one element.
+  for (const Value& v : {Value::Int(-42), Value::OfOid(Oid(7, 8)),
+                         Value::String("q"), Value::Null(),
+                         Value::Real(0.5)}) {
+    EXPECT_EQ(ResultDigest(v), ToStringDigest(v)) << v.ToString();
+  }
+}
+
+TEST(ProtocolTest, DigestOfFixedOidSetIsPinned) {
+  // A literal pin: any drift in element rendering or mixing changes
+  // every hash= on the wire, and this value with it.
+  const Value s = Value::Set({Value::OfOid(Oid(3, 7)),
+                              Value::OfOid(Oid(2, 1)),
+                              Value::OfOid(Oid(2, 4))});
+  EXPECT_EQ(DigestHex(ResultDigest(s)), "d3093ae61738098a");
+  EXPECT_EQ(DigestHex(ResultDigest(Value::Set({Value::Int(1),
+                                               Value::Int(2)}))),
+            "1f815a281a83c12c");
+}
+
 // ---------------------------------------------------- socket client
 
 /// A minimal blocking line client for the tests.
@@ -291,6 +356,32 @@ TEST_F(ServiceTest, CancelCommandAndBadLinesDoNotWedgeTheService) {
   EXPECT_EQ(stats.value().queries_failed, 0u);
   service.Stop();
   EXPECT_GE(service.stats().generations, 1u);
+}
+
+TEST_F(ServiceTest, NumberLiteralOverflowAnswersErrorNotCrash) {
+  QueryService service(session_.get());
+  ASSERT_TRUE(service.Start().ok());
+  LineClient client(service.port());
+  ASSERT_TRUE(client.connected());
+
+  // The lexer used to throw out of the event loop on this literal and
+  // take the whole process down.
+  client.Send(
+      "Q big 0 ACCESS p FROM p IN Paragraph "
+      "WHERE p.number == 99999999999999999999");
+  auto big = ParseReplyLine(client.ReadLine());
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big.value().id, "big");
+  EXPECT_EQ(big.value().status, "ERROR:ParseError") << big.value().message;
+
+  // Same connection, valid query: still answered, and correctly.
+  const std::string query = "ACCESS p FROM p IN Paragraph WHERE p.number == 1";
+  client.Send("Q after 0 " + query);
+  auto after = ParseReplyLine(client.ReadLine());
+  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE(after.value().ok()) << after.value().message;
+  EXPECT_EQ(after.value().hash, DigestHex(ResultDigest(Oracle(query))));
+  service.Stop();
 }
 
 TEST_F(ServiceTest, ServesMultipleConnections) {

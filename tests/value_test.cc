@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "test_seed.h"
 #include "types/type.h"
 #include "types/value.h"
 
@@ -168,5 +175,138 @@ TEST(TypeTest, RuntimeTypeOfValues) {
             TypeKind::kAny);
 }
 
+// --- Value::Set's typed and already-sorted paths vs the generic one ---
+//
+// Value::Set skips the sort for strictly ascending input and sorts
+// all-OID and all-STRING inputs on unboxed keys; INT sets take the
+// generic path. Every path must produce exactly what a plain sort +
+// unique over Value::Compare produces; the row-mode oracle builds its
+// result sets through the same function, so a divergence here would
+// corrupt the oracle silently.
+
+/// The reference canonicalization, written out here rather than shared
+/// with the implementation.
+std::vector<Value> ReferenceCanonical(std::vector<Value> v) {
+  std::sort(v.begin(), v.end(), [](const Value& a, const Value& b) {
+    return Value::Compare(a, b) < 0;
+  });
+  v.erase(std::unique(v.begin(), v.end(),
+                      [](const Value& a, const Value& b) {
+                        return Value::Compare(a, b) == 0;
+                      }),
+          v.end());
+  return v;
+}
+
+using ElementGen = std::function<Value(Rng&)>;
+
+Value RandomOid(Rng& rng) {
+  return Value::OfOid(Oid(1 + static_cast<uint32_t>(rng.NextBounded(3)),
+                          static_cast<uint32_t>(rng.NextBounded(40))));
+}
+Value RandomInt(Rng& rng) {
+  return Value::Int(static_cast<int64_t>(rng.NextBounded(41)) - 20);
+}
+Value RandomString(Rng& rng) {
+  // Includes a high-bit byte: string order is unsigned bytewise.
+  static const char kAlphabet[] = {'a', 'b', 'c', '\xe9'};
+  std::string s(rng.NextBounded(4), 'a');
+  for (char& c : s) c = kAlphabet[rng.NextBounded(4)];
+  return Value::String(s);
+}
+Value RandomIntOrReal(Rng& rng) {
+  // Halves and whole REALs: 1 and 1.0 compare equal across kinds.
+  const double d = static_cast<double>(rng.NextBounded(21)) / 2.0 - 5.0;
+  if (rng.NextBool(0.5) && d == static_cast<double>(static_cast<int64_t>(d))) {
+    return Value::Int(static_cast<int64_t>(d));
+  }
+  return Value::Real(d);
+}
+Value RandomWithNulls(Rng& rng) {
+  if (rng.NextBool(0.3)) return Value::Null();
+  return rng.NextBool(0.5) ? RandomInt(rng) : RandomOid(rng);
+}
+Value RandomNestedSet(Rng& rng) {
+  std::vector<Value> inner(rng.NextBounded(3));
+  for (Value& v : inner) v = Value::Int(static_cast<int64_t>(rng.NextBounded(4)));
+  return Value::Set(std::move(inner));
+}
+
+enum class Shape { kRandom, kSorted, kCanonical, kReversed, kDuplicates };
+
+std::vector<Value> MakeInput(Rng& rng, const ElementGen& gen, Shape shape) {
+  const size_t n = rng.NextBounded(48);
+  std::vector<Value> v;
+  if (shape == Shape::kDuplicates) {
+    const Value pool[] = {gen(rng), gen(rng), gen(rng)};
+    for (size_t i = 0; i < n; ++i) v.push_back(pool[rng.NextBounded(3)]);
+    return v;
+  }
+  for (size_t i = 0; i < n; ++i) v.push_back(gen(rng));
+  auto less = [](const Value& a, const Value& b) {
+    return Value::Compare(a, b) < 0;
+  };
+  switch (shape) {
+    case Shape::kSorted:
+      std::stable_sort(v.begin(), v.end(), less);
+      break;
+    case Shape::kCanonical:
+      v = ReferenceCanonical(std::move(v));
+      break;
+    case Shape::kReversed:
+      std::stable_sort(v.begin(), v.end(), less);
+      std::reverse(v.begin(), v.end());
+      break;
+    default:
+      break;
+  }
+  return v;
+}
+
+TEST(ValueSetTest, TypedPathsMatchGenericReference) {
+  const uint64_t seed = testing::TestSeed();
+  const std::vector<std::pair<std::string, ElementGen>> kinds = {
+      {"oid", RandomOid},           {"int", RandomInt},
+      {"string", RandomString},     {"int+real", RandomIntOrReal},
+      {"with-nulls", RandomWithNulls}, {"nested-set", RandomNestedSet},
+  };
+  const Shape shapes[] = {Shape::kRandom, Shape::kSorted, Shape::kCanonical,
+                          Shape::kReversed, Shape::kDuplicates};
+  Rng rng(seed);
+  size_t cases = 0;
+  for (const auto& [name, gen] : kinds) {
+    for (Shape shape : shapes) {
+      for (int round = 0; round < 60; ++round, ++cases) {
+        const std::vector<Value> input = MakeInput(rng, gen, shape);
+        const std::vector<Value> expect = ReferenceCanonical(input);
+        const Value set = Value::Set(input);
+        const ValueSet& got = set.AsSet();
+        ASSERT_EQ(got.size(), expect.size())
+            << name << " shape " << static_cast<int>(shape) << " seed "
+            << seed;
+        for (size_t i = 0; i < got.size(); ++i) {
+          // ToString tells an INT 1 from a REAL 1.0 that compare equal.
+          ASSERT_EQ(got[i].ToString(), expect[i].ToString())
+              << name << " shape " << static_cast<int>(shape)
+              << " element " << i << " seed " << seed;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, kinds.size() * 5 * 60);
+}
+
+TEST(ValueSetTest, IntNextToRealStaysOneElement) {
+  const Value s = Value::Set({Value::Real(1.0), Value::Int(2), Value::Int(1)});
+  ASSERT_EQ(s.AsSet().size(), 2u);
+  EXPECT_EQ(s.AsSet()[0], Value::Int(1));
+  EXPECT_EQ(s.AsSet()[1], Value::Int(2));
+}
+
 }  // namespace
 }  // namespace vodak
+
+int main(int argc, char** argv) {
+  return vodak::testing::RunAllTestsWithSeed(argc, argv,
+                                             /*fallback=*/20261018);
+}

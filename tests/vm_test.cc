@@ -195,6 +195,31 @@ TEST_F(VmTest, ProjectDedupParity) {
   EXPECT_EQ(Drain(fresh.op.get(), "n").AsSet().size(), 3u);
 }
 
+TEST_F(VmTest, ScanVariableProjectElidesDedup) {
+  // Project keeping the scan variable: rows are distinct by
+  // construction, so the VM moves the registers like a map (keeping
+  // the filter's selection) instead of gathering into a dedup set.
+  auto get = ctx_->Get("p", "Paragraph").value();
+  auto filtered = ctx_->Select(Parse("p.number >= 1"), get).value();
+  auto project = ctx_->Project({"p"}, filtered).value();
+  VmChoice choice = Compile(project, /*force=*/true);
+  ASSERT_TRUE(choice.compiled);
+  const auto* vm = static_cast<VmExec*>(choice.op.get());
+  EXPECT_FALSE(vm->program().project_dedup);
+  EXPECT_EQ(vm->program().distinct_key, "p");
+  EXPECT_NE(vm->params().find("[dedup: elided, key p]"), std::string::npos)
+      << vm->params();
+  CheckPlanParity(project, "p", "elided project dedup");
+
+  // The number projection keeps its dedup, and says so.
+  auto mapped = ctx_->Map("n", Parse("p.number"), get).value();
+  VmChoice kept =
+      Compile(ctx_->Project({"n"}, mapped).value(), /*force=*/true);
+  ASSERT_TRUE(kept.compiled);
+  EXPECT_NE(kept.op->params().find("[dedup: kept]"), std::string::npos)
+      << kept.op->params();
+}
+
 TEST_F(VmTest, EmptyAndFullSelections) {
   auto get = ctx_->Get("p", "Paragraph").value();
   auto mapped = ctx_->Map("n", Parse("p.number"), get).value();

@@ -46,6 +46,35 @@ TEST(LexerTest, Errors) {
   EXPECT_FALSE(Lex("a # b").ok());
 }
 
+TEST(LexerTest, NumberOverflowIsAParseError) {
+  // One past INT64_MAX, and far beyond it: a parse error, not a throw.
+  for (const char* src : {"p.number == 9223372036854775808",
+                          "p.number == 99999999999999999999"}) {
+    auto tokens = Lex(src);
+    ASSERT_FALSE(tokens.ok()) << src;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kParseError) << src;
+    EXPECT_NE(tokens.status().message().find("out of range"),
+              std::string::npos)
+        << tokens.status().message();
+  }
+  // REAL literals have no exponent syntax, so a 1e999-sized REAL is
+  // spelled out: a 1 followed by 999 zeros, then a fraction.
+  const std::string huge_real = "1" + std::string(999, '0') + ".5";
+  auto real = Lex("x == " + huge_real);
+  ASSERT_FALSE(real.ok());
+  EXPECT_EQ(real.status().code(), StatusCode::kParseError);
+  // The largest INT still lexes exactly.
+  auto max = Lex("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max.value()[0].int_value, INT64_MAX);
+}
+
+TEST(ParserTest, NumberOverflowFailsTheQuery) {
+  auto q = ParseQuery(
+      "ACCESS p FROM p IN Paragraph WHERE p.number == 99999999999999999999");
+  EXPECT_FALSE(q.ok());
+}
+
 TEST(LexerTest, SingleEqualsIsAssign) {
   // Since the write grammar, a lone '=' lexes as the SET-list
   // assignment token; using it where a comparison is meant is now a
