@@ -150,9 +150,10 @@ if [[ -n "$SANITIZE" ]]; then
         --target exec_batch_test exec_parallel_test exec_selvec_test \
                  exec_shared_scan_test engine_submit_test service_test \
                  mvcc_edge_test mvcc_stress_test vm_test vm_diff_test \
-                 storage_test segment_diff_test value_test vql_test
+                 storage_test segment_diff_test value_test vql_test \
+                 objstore_test engine_test
   ctest --test-dir "$BUILD_DIR" --output-on-failure \
-        -R 'exec_batch_test|exec_parallel_test|exec_selvec_test|exec_shared_scan_test|engine_submit_test|service_test|mvcc_edge_test|mvcc_stress_test|vm_test|vm_diff_test|storage_test|segment_diff_test|value_test|vql_test'
+        -R 'exec_batch_test|exec_parallel_test|exec_selvec_test|exec_shared_scan_test|engine_submit_test|service_test|mvcc_edge_test|mvcc_stress_test|vm_test|vm_diff_test|storage_test|segment_diff_test|value_test|vql_test|objstore_test|engine_test'
   echo "== ci.sh ($SANITIZE): all green =="
   exit 0
 fi

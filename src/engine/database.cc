@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 
 #include "algebra/translate.h"
 #include "exec/vm.h"
@@ -15,6 +16,65 @@ double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// Extent rows per batch when expanding an UPDATE/DELETE predicate.
+constexpr size_t kWriteChunkRows = 1024;
+
+/// Expands extent[begin, end) of an UPDATE/DELETE into `mutations`, in
+/// extent order: WHERE as one batched predicate over the chunk under
+/// `self`, then each SET expression as one batch over the survivors.
+/// On a one-row chunk this is exactly the row-at-a-time expansion:
+/// WHERE, then the SETs in list order.
+Status ExpandWriteRows(const vql::BoundWrite& write,
+                       const ExprEvaluator& evaluator,
+                       const std::vector<Oid>& extent, size_t begin,
+                       size_t end, std::vector<Mutation>* mutations) {
+  static const std::vector<std::string> kNames = {"self"};
+  std::vector<ValueColumn> columns(1);
+  columns[0].reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    columns[0].push_back(Value::OfOid(extent[i]));
+  }
+  BatchEnv env;
+  env.names = &kNames;
+  env.columns = &columns;
+  env.num_rows = end - begin;
+  std::vector<uint32_t> survivors;
+  if (write.where != nullptr) {
+    std::vector<char> keep;
+    VODAK_RETURN_IF_ERROR(
+        evaluator.EvalPredicateBatch(write.where, env, &keep));
+    for (size_t row = 0; row < keep.size(); ++row) {
+      if (keep[row]) survivors.push_back(static_cast<uint32_t>(row));
+    }
+    if (survivors.empty()) return Status::OK();
+    env.sel = survivors.data();
+    env.sel_count = survivors.size();
+  }
+  const size_t rows = env.active_rows();
+  if (write.kind == vql::WriteStatement::Kind::kDelete) {
+    for (size_t k = 0; k < rows; ++k) {
+      mutations->push_back(Mutation::Delete(extent[begin + env.RowAt(k)]));
+    }
+    return Status::OK();
+  }
+  std::vector<ValueColumn> values;
+  values.reserve(write.sets.size());
+  for (const auto& [slot, expr] : write.sets) {
+    VODAK_ASSIGN_OR_RETURN(ValueColumn column, evaluator.EvalBatch(expr, env));
+    values.push_back(std::move(column));
+  }
+  for (size_t k = 0; k < rows; ++k) {
+    std::vector<std::pair<uint32_t, Value>> sets;
+    sets.reserve(write.sets.size());
+    for (size_t j = 0; j < write.sets.size(); ++j) {
+      sets.emplace_back(write.sets[j].first, std::move(values[j][k]));
+    }
+    mutations->push_back(
+        Mutation::Update(extent[begin + env.RowAt(k)], std::move(sets)));
+  }
+  return Status::OK();
 }
 }  // namespace
 
@@ -180,25 +240,20 @@ Result<std::vector<Mutation>> Database::BuildMutations(
   // between this scan and the Apply.
   VODAK_ASSIGN_OR_RETURN(std::vector<Oid> extent,
                          store_->Extent(write.class_id));
-  for (Oid oid : extent) {
-    Env env;
-    env["self"] = Value::OfOid(oid);
-    if (write.where != nullptr) {
-      VODAK_ASSIGN_OR_RETURN(bool keep,
-                             evaluator.EvalPredicate(write.where, env));
-      if (!keep) continue;
+  for (size_t begin = 0; begin < extent.size(); begin += kWriteChunkRows) {
+    const size_t end = std::min(extent.size(), begin + kWriteChunkRows);
+    Status chunk =
+        ExpandWriteRows(write, evaluator, extent, begin, end, &mutations);
+    if (chunk.ok()) continue;
+    // A batch reports the first failing expression over the chunk, not
+    // necessarily the first failing row. Replaying the chunk one row at
+    // a time reports the error the row-at-a-time order meets first.
+    for (size_t row = begin; row < end; ++row) {
+      VODAK_RETURN_IF_ERROR(
+          ExpandWriteRows(write, evaluator, extent, row, row + 1,
+                          &mutations));
     }
-    if (write.kind == vql::WriteStatement::Kind::kDelete) {
-      mutations.push_back(Mutation::Delete(oid));
-      continue;
-    }
-    std::vector<std::pair<uint32_t, Value>> sets;
-    sets.reserve(write.sets.size());
-    for (const auto& [slot, expr] : write.sets) {
-      VODAK_ASSIGN_OR_RETURN(Value v, evaluator.Eval(expr, env));
-      sets.emplace_back(slot, std::move(v));
-    }
-    mutations.push_back(Mutation::Update(oid, std::move(sets)));
+    return chunk;
   }
   return mutations;
 }
@@ -222,19 +277,27 @@ Status Database::ExecuteWrite(const QueryRequest& request,
   stats->plan_ms = MsSince(plan_start);
 
   auto apply_start = std::chrono::steady_clock::now();
-  VODAK_ASSIGN_OR_RETURN(MutationResult applied, store_->Apply(mutations));
+  ObjectStore::BeforePublish close_segments;
   if (segments_ != nullptr) {
     // Segment data predates this commit: close the touched classes'
     // open versions at the commit epoch, so readers pinned below it
     // keep the segment path while later snapshots fall back to the
-    // store until the class is re-ingested.
-    for (const Mutation& m : mutations) {
-      segments_->CloseVersions(m.kind == Mutation::Kind::kInsert
-                                   ? m.class_id
-                                   : m.oid.class_id,
-                               applied.epoch);
-    }
+    // store until the class is re-ingested. This runs before the
+    // commit epoch is published: a reader that pins the new epoch must
+    // never find the stale open version.
+    close_segments = [this, &mutations](Epoch commit) {
+      std::set<uint32_t> touched;
+      for (const Mutation& m : mutations) {
+        touched.insert(m.kind == Mutation::Kind::kInsert ? m.class_id
+                                                         : m.oid.class_id);
+      }
+      for (uint32_t class_id : touched) {
+        segments_->CloseVersions(class_id, commit);
+      }
+    };
   }
+  VODAK_ASSIGN_OR_RETURN(MutationResult applied,
+                         store_->Apply(mutations, close_segments));
   stats->drain_ms = MsSince(apply_start);
   result->execute_ms = stats->drain_ms;
   // A write's "snapshot" is the epoch its batch committed as — the

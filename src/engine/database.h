@@ -171,8 +171,10 @@ class Database {
   /// Expands a bound write statement into the store's mutation batch:
   /// INSERT evaluates its closed SET expressions once; UPDATE/DELETE
   /// scan the class extent at the current epoch and evaluate the
-  /// predicate (and UPDATE's SET expressions) per candidate under
-  /// `self`. Caller holds write_mu_.
+  /// predicate under `self` in batches of extent rows, then UPDATE's
+  /// SET expressions over each batch's survivors. Mutations come out
+  /// in extent order, and an evaluation error is the one the
+  /// row-at-a-time order meets first. Caller holds write_mu_.
   Result<std::vector<Mutation>> BuildMutations(
       const vql::BoundWrite& write) const REQUIRES(write_mu_);
   /// EnsurePool, but exact: ExecuteConcurrentColumns refuses a

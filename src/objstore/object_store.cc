@@ -12,6 +12,7 @@ uint32_t ObjectStore::RegisterClass(std::string debug_name,
   ClassStorage storage;
   storage.debug_name = std::move(debug_name);
   storage.slot_count = slot_count;
+  storage.columns.resize(slot_count);
   classes_.push_back(std::move(storage));
   return static_cast<uint32_t>(classes_.size());
 }
@@ -32,16 +33,24 @@ ObjectStore::ClassStorage* ObjectStore::FindClassMutable(uint32_t class_id) {
   return &classes_[class_id - 1];
 }
 
-const ObjectStore::Version* ObjectStore::VisibleVersion(const Instance& inst,
-                                                        Epoch at) {
-  // Reverse scan: chains are short (reclaim trims them) and the newest
-  // entry is the common hit for latest-epoch reads.
-  for (auto it = inst.versions.rbegin(); it != inst.versions.rend(); ++it) {
-    if (it->begin <= at) {
-      return it->end > at ? &*it : nullptr;
-    }
+const ObjectStore::OldVersion* ObjectStore::ClassStorage::HistoryAt(
+    uint32_t local, Epoch at) const {
+  auto it = history.find(local);
+  if (it == history.end()) return nullptr;
+  // Newest first: the entry just below the head is the common hit.
+  for (auto v = it->second.rbegin(); v != it->second.rend(); ++v) {
+    if (v->begin <= at) return v->end > at ? &*v : nullptr;
   }
   return nullptr;
+}
+
+uint32_t ObjectStore::ClassStorage::Append(Epoch begin) {
+  for (std::vector<Value>& column : columns) column.emplace_back();
+  head_begin.push_back(begin);
+  live.push_back(1);
+  ++live_count;
+  // local ids start at 1 so that Oid{0,0} stays the NIL reference.
+  return size();
 }
 
 bool ObjectStore::AnyPins() const {
@@ -56,12 +65,7 @@ Status ObjectStore::CheckOid(Oid oid, uint32_t slot, const char* op,
     return Status::NotFound(std::string(op) + ": unknown class in oid " +
                             oid.ToString());
   }
-  if (oid.local == 0 || oid.local > cls->instances.size()) {
-    return Status::NotFound(std::string(op) + ": dangling oid " +
-                            oid.ToString());
-  }
-  const Version* v = VisibleVersion(cls->instances[oid.local - 1], at);
-  if (v == nullptr || !v->live) {
+  if (!cls->Contains(oid.local) || !cls->VisibleAt(oid.local, at)) {
     return Status::NotFound(std::string(op) + ": dangling oid " +
                             oid.ToString());
   }
@@ -80,71 +84,77 @@ Result<Oid> ObjectStore::CreateObject(uint32_t class_id) {
   if (cls == nullptr) {
     return Status::NotFound("unknown class id " + std::to_string(class_id));
   }
-  Version v;
-  v.live = true;
-  v.slots.assign(cls->slot_count, Value::Null());
-  if (AnyPins()) {
-    // Readers hold snapshots: stamp the new object with a fresh epoch so
-    // no pinned reader's extent grows underneath it.
-    const Epoch commit = epoch_.load(std::memory_order_acquire) + 1;
-    v.begin = commit;
+  const Epoch current = epoch_.load(std::memory_order_acquire);
+  // With readers pinned, stamp the new object with a fresh epoch so no
+  // pinned reader's extent grows underneath it. Otherwise (bulk-load
+  // fast path) no reader can observe an intermediate state, so the
+  // object appears at the current epoch without a bump and without
+  // version churn.
+  const bool pinned = AnyPins();
+  const uint32_t local = cls->Append(pinned ? current + 1 : current);
+  if (pinned) {
     stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
     stats_.epochs_committed.fetch_add(1, std::memory_order_relaxed);
-    epoch_.store(commit, std::memory_order_release);
-  } else {
-    // Bulk-load fast path: no reader can observe an intermediate state,
-    // so the object appears at the current epoch without a bump and
-    // without version churn.
-    v.begin = epoch_.load(std::memory_order_acquire);
+    epoch_.store(current + 1, std::memory_order_release);
   }
-  Instance inst;
-  inst.versions.push_back(std::move(v));
-  cls->instances.push_back(std::move(inst));
-  ++cls->live_count;
   stats_.objects_created.fetch_add(1, std::memory_order_relaxed);
-  // local ids start at 1 so that Oid{0,0} stays the NIL reference.
-  return Oid(class_id, static_cast<uint32_t>(cls->instances.size()));
+  return Oid(class_id, local);
 }
 
-ObjectStore::Version* ObjectStore::MutableVersionAt(Instance* inst,
-                                                    Epoch commit) {
-  Version& head = inst->versions.back();
-  if (head.begin == commit) {
-    // Already copied for this commit (second touch within one batch):
-    // compose in place — the batch is atomic, intermediate states are
-    // never visible.
-    return &head;
-  }
-  Version next = head;  // copy-on-write
-  next.begin = commit;
-  next.end = kEpochLatest;
-  head.end = commit;
-  inst->versions.push_back(std::move(next));
+ObjectStore::OldVersion* ObjectStore::SupersedeHead(ClassStorage* cls,
+                                                   uint32_t local,
+                                                   Epoch commit) {
+  const uint32_t i = local - 1;
+  std::vector<OldVersion>& versions = cls->history[local];
+  versions.push_back({cls->head_begin[i], commit, {}});
+  cls->head_begin[i] = commit;
   stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
-  return &inst->versions.back();
+  OldVersion* old = &versions.back();
+  old->slots.reserve(cls->slot_count);
+  return old;
+}
+
+void ObjectStore::VersionHead(ClassStorage* cls, uint32_t local,
+                              Epoch commit) {
+  // A head that already began at `commit` was versioned by an earlier
+  // touch in this batch: compose in place — the batch is atomic,
+  // intermediate states are never visible.
+  if (cls->head_begin[local - 1] == commit) return;
+  OldVersion* old = SupersedeHead(cls, local, commit);
+  for (const std::vector<Value>& column : cls->columns) {
+    old->slots.push_back(column[local - 1]);  // copy-on-write
+  }
+}
+
+void ObjectStore::TombstoneHead(ClassStorage* cls, uint32_t local,
+                                Epoch commit) {
+  const uint32_t i = local - 1;
+  OldVersion* old = cls->head_begin[i] == commit
+                        ? nullptr
+                        : SupersedeHead(cls, local, commit);
+  for (std::vector<Value>& column : cls->columns) {
+    if (old != nullptr) old->slots.push_back(std::move(column[i]));
+    column[i] = Value::Null();
+  }
+  cls->live[i] = 0;
+  --cls->live_count;
 }
 
 Status ObjectStore::DeleteObject(Oid oid) {
   WriterLock lock(data_mu_);
   VODAK_RETURN_IF_ERROR(
       CheckOid(oid, /*slot=*/0, "delete", ResolveEpoch(kEpochLatest)));
-  Instance& inst = classes_[oid.class_id - 1].instances[oid.local - 1];
+  ClassStorage* cls = FindClassMutable(oid.class_id);
   if (AnyPins()) {
     const Epoch commit = epoch_.load(std::memory_order_acquire) + 1;
-    Version tomb;
-    tomb.begin = commit;
-    tomb.live = false;
-    inst.versions.back().end = commit;
-    inst.versions.push_back(std::move(tomb));
-    stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
+    TombstoneHead(cls, oid.local, commit);
     stats_.epochs_committed.fetch_add(1, std::memory_order_relaxed);
     epoch_.store(commit, std::memory_order_release);
   } else {
-    Version& head = inst.versions.back();
-    head.live = false;
-    head.slots.clear();
+    // In place: the head keeps its begin epoch, so the object reads as
+    // deleted at every epoch (no reader holds an older one).
+    TombstoneHead(cls, oid.local, cls->head_begin[oid.local - 1]);
   }
-  --classes_[oid.class_id - 1].live_count;
   stats_.objects_deleted.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -153,10 +163,8 @@ bool ObjectStore::Exists(Oid oid, Epoch at) const {
   SharedLock lock(data_mu_);
   const ClassStorage* cls = FindClass(oid.class_id);
   if (cls == nullptr) return false;
-  if (oid.local == 0 || oid.local > cls->instances.size()) return false;
-  const Version* v =
-      VisibleVersion(cls->instances[oid.local - 1], ResolveEpoch(at));
-  return v != nullptr && v->live;
+  return cls->Contains(oid.local) &&
+         cls->VisibleAt(oid.local, ResolveEpoch(at));
 }
 
 Result<Value> ObjectStore::GetProperty(Oid oid, uint32_t slot,
@@ -170,9 +178,7 @@ Result<Value> ObjectStore::GetProperty(Oid oid, uint32_t slot,
   if (at != kEpochLatest) {
     stats_.snapshot_reads.fetch_add(1, std::memory_order_relaxed);
   }
-  return VisibleVersion(classes_[oid.class_id - 1].instances[oid.local - 1],
-                        epoch)
-      ->slots[slot];
+  return *classes_[oid.class_id - 1].CellAt(oid.local, slot, epoch);
 }
 
 Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
@@ -205,21 +211,20 @@ Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
         std::to_string(locals.size()) + " locals");
   }
   const Epoch epoch = ResolveEpoch(at);
+  out->reserve(out->size() + (end - begin));
   size_t emitted = 0;
   for (size_t i = begin; i < end; ++i) {
     const uint32_t local = locals[i];
-    const Version* v =
-        (local == 0 || local > cls->instances.size())
-            ? nullptr
-            : VisibleVersion(cls->instances[local - 1], epoch);
-    if (v == nullptr || !v->live) {
+    const Value* cell =
+        cls->Contains(local) ? cls->CellAt(local, slot, epoch) : nullptr;
+    if (cell == nullptr) {
       // Counted per object, like GetProperty: charge what was read
       // before the dangling reference stopped the column.
       stats_.property_reads.fetch_add(emitted, std::memory_order_relaxed);
       return Status::NotFound("get: dangling oid " +
                               Oid(class_id, local).ToString());
     }
-    out->push_back(v->slots[slot]);
+    out->push_back(*cell);
     ++emitted;
   }
   stats_.property_reads.fetch_add(emitted, std::memory_order_relaxed);
@@ -252,21 +257,20 @@ Status ObjectStore::GetPropertyColumn(uint32_t class_id, uint32_t slot,
         std::to_string(oids.size()) + " oids");
   }
   const Epoch epoch = ResolveEpoch(at);
+  out->reserve(out->size() + (end - begin));
   size_t emitted = 0;
   for (size_t i = begin; i < end; ++i) {
     const Oid oid = oids[i];
-    const Version* v =
-        (oid.class_id != class_id || oid.local == 0 ||
-         oid.local > cls->instances.size())
-            ? nullptr
-            : VisibleVersion(cls->instances[oid.local - 1], epoch);
-    if (v == nullptr || !v->live) {
+    const Value* cell = oid.class_id == class_id && cls->Contains(oid.local)
+                            ? cls->CellAt(oid.local, slot, epoch)
+                            : nullptr;
+    if (cell == nullptr) {
       // Counted per object, like GetProperty: charge what was read
       // before the dangling reference stopped the column.
       stats_.property_reads.fetch_add(emitted, std::memory_order_relaxed);
       return Status::NotFound("get: dangling oid " + oid.ToString());
     }
-    out->push_back(v->slots[slot]);
+    out->push_back(*cell);
     ++emitted;
   }
   stats_.property_reads.fetch_add(emitted, std::memory_order_relaxed);
@@ -281,14 +285,15 @@ Status ObjectStore::SetProperty(Oid oid, uint32_t slot, Value value) {
   VODAK_RETURN_IF_ERROR(
       CheckOid(oid, slot, "set", ResolveEpoch(kEpochLatest)));
   stats_.property_writes.fetch_add(1, std::memory_order_relaxed);
-  Instance& inst = classes_[oid.class_id - 1].instances[oid.local - 1];
+  ClassStorage* cls = FindClassMutable(oid.class_id);
   if (AnyPins()) {
     const Epoch commit = epoch_.load(std::memory_order_acquire) + 1;
-    MutableVersionAt(&inst, commit)->slots[slot] = std::move(value);
+    VersionHead(cls, oid.local, commit);
+    cls->columns[slot][oid.local - 1] = std::move(value);
     stats_.epochs_committed.fetch_add(1, std::memory_order_relaxed);
     epoch_.store(commit, std::memory_order_release);
   } else {
-    inst.versions.back().slots[slot] = std::move(value);
+    cls->columns[slot][oid.local - 1] = std::move(value);
   }
   return Status::OK();
 }
@@ -307,9 +312,8 @@ Result<std::vector<Oid>> ObjectStore::Extent(uint32_t class_id,
   const Epoch epoch = ResolveEpoch(at);
   std::vector<Oid> out;
   out.reserve(cls->live_count);
-  for (uint32_t i = 0; i < cls->instances.size(); ++i) {
-    const Version* v = VisibleVersion(cls->instances[i], epoch);
-    if (v != nullptr && v->live) out.emplace_back(class_id, i + 1);
+  for (uint32_t local = 1; local <= cls->size(); ++local) {
+    if (cls->VisibleAt(local, epoch)) out.emplace_back(class_id, local);
   }
   return out;
 }
@@ -323,14 +327,14 @@ Result<uint64_t> ObjectStore::ExtentSize(uint32_t class_id, Epoch at) const {
   if (at == kEpochLatest) return cls->live_count;
   const Epoch epoch = ResolveEpoch(at);
   uint64_t count = 0;
-  for (const Instance& inst : cls->instances) {
-    const Version* v = VisibleVersion(inst, epoch);
-    if (v != nullptr && v->live) ++count;
+  for (uint32_t local = 1; local <= cls->size(); ++local) {
+    if (cls->VisibleAt(local, epoch)) ++count;
   }
   return count;
 }
 
-Result<MutationResult> ObjectStore::Apply(const std::vector<Mutation>& batch) {
+Result<MutationResult> ObjectStore::Apply(const std::vector<Mutation>& batch,
+                                          const BeforePublish& before_publish) {
   WriterLock lock(data_mu_);
   const Epoch pre = epoch_.load(std::memory_order_acquire);
 
@@ -400,17 +404,11 @@ Result<MutationResult> ObjectStore::Apply(const std::vector<Mutation>& batch) {
     switch (m.kind) {
       case Mutation::Kind::kInsert: {
         ClassStorage* cls = FindClassMutable(m.class_id);
-        Version v;
-        v.begin = commit;
-        v.live = true;
-        v.slots.assign(cls->slot_count, Value::Null());
-        for (const auto& [slot, value] : m.sets) v.slots[slot] = value;
-        Instance inst;
-        inst.versions.push_back(std::move(v));
-        cls->instances.push_back(std::move(inst));
-        ++cls->live_count;
-        result.created.emplace_back(
-            m.class_id, static_cast<uint32_t>(cls->instances.size()));
+        const uint32_t local = cls->Append(commit);
+        for (const auto& [slot, value] : m.sets) {
+          cls->columns[slot][local - 1] = value;
+        }
+        result.created.emplace_back(m.class_id, local);
         stats_.objects_created.fetch_add(1, std::memory_order_relaxed);
         stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
         stats_.property_writes.fetch_add(m.sets.size(),
@@ -418,34 +416,18 @@ Result<MutationResult> ObjectStore::Apply(const std::vector<Mutation>& batch) {
         break;
       }
       case Mutation::Kind::kUpdate: {
-        Instance& inst =
-            classes_[m.oid.class_id - 1].instances[m.oid.local - 1];
-        Version* v = MutableVersionAt(&inst, commit);
-        for (const auto& [slot, value] : m.sets) v->slots[slot] = value;
+        ClassStorage* cls = FindClassMutable(m.oid.class_id);
+        VersionHead(cls, m.oid.local, commit);
+        for (const auto& [slot, value] : m.sets) {
+          cls->columns[slot][m.oid.local - 1] = value;
+        }
         ++result.updated;
         stats_.property_writes.fetch_add(m.sets.size(),
                                          std::memory_order_relaxed);
         break;
       }
       case Mutation::Kind::kDelete: {
-        Instance& inst =
-            classes_[m.oid.class_id - 1].instances[m.oid.local - 1];
-        Version& head = inst.versions.back();
-        if (head.begin == commit) {
-          // Inserted or updated earlier in this same batch: the batch is
-          // atomic, so the intermediate version collapses into the
-          // tombstone.
-          head.live = false;
-          head.slots.clear();
-        } else {
-          Version tomb;
-          tomb.begin = commit;
-          tomb.live = false;
-          head.end = commit;
-          inst.versions.push_back(std::move(tomb));
-          stats_.versions_created.fetch_add(1, std::memory_order_relaxed);
-        }
-        --classes_[m.oid.class_id - 1].live_count;
+        TombstoneHead(FindClassMutable(m.oid.class_id), m.oid.local, commit);
         ++result.deleted;
         stats_.objects_deleted.fetch_add(1, std::memory_order_relaxed);
         break;
@@ -453,6 +435,7 @@ Result<MutationResult> ObjectStore::Apply(const std::vector<Mutation>& batch) {
     }
   }
 
+  if (before_publish) before_publish(commit);
   stats_.epochs_committed.fetch_add(1, std::memory_order_relaxed);
   // Release-publish last: a PinEpoch that reads `commit` is guaranteed
   // to see every version this batch wrote.
@@ -502,22 +485,20 @@ size_t ObjectStore::Reclaim() {
   const Epoch horizon = MinPinnedEpoch();
   size_t freed = 0;
   for (ClassStorage& cls : classes_) {
-    for (Instance& inst : cls.instances) {
-      auto& versions = inst.versions;
-      if (versions.size() <= 1) continue;
-      size_t kept = 0;
-      for (size_t i = 0; i < versions.size(); ++i) {
-        // A version with end <= horizon is superseded at every epoch a
-        // pinned or future reader can resolve: drop it. The current
-        // version (end == kEpochLatest) always survives.
-        if (versions[i].end != kEpochLatest && versions[i].end <= horizon) {
-          ++freed;
-          continue;
-        }
-        if (kept != i) versions[kept] = std::move(versions[i]);
-        ++kept;
+    for (auto it = cls.history.begin(); it != cls.history.end();) {
+      // Entries ascend by end: an entry with end <= horizon is
+      // superseded at every epoch a pinned or future reader can
+      // resolve, so the reclaimable ones form a prefix.
+      std::vector<OldVersion>& versions = it->second;
+      size_t drop = 0;
+      while (drop < versions.size() && versions[drop].end <= horizon) ++drop;
+      freed += drop;
+      if (drop == versions.size()) {
+        it = cls.history.erase(it);
+      } else {
+        versions.erase(versions.begin(), versions.begin() + drop);
+        ++it;
       }
-      versions.resize(kept);
     }
   }
   stats_.versions_reclaimed.fetch_add(freed, std::memory_order_relaxed);

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -105,29 +107,33 @@ struct MutationResult {
 };
 
 /// In-memory object store: the VODAK-kernel substitute (DESIGN.md S3),
-/// now multi-version (docs/ARCHITECTURE.md §"Writes, epochs & snapshot
+/// multi-version (docs/ARCHITECTURE.md §"Writes, epochs & snapshot
 /// isolation").
 ///
 /// A class is registered with a number of property slots; instances are
-/// version chains of Value-slot rows addressed by Oid {class_id, local}.
-/// Each chain entry covers the half-open epoch interval [begin, end):
-/// a read at epoch E sees the entry with begin <= E < end, and sees the
-/// object at all only if that entry is live (deletes append a dead
-/// tombstone entry rather than reclaiming the local id, so Oids stay
-/// stable). Writers commit through Apply() under the exclusive side of
-/// a reader/writer lock and bump the global epoch once per batch;
-/// readers pin an epoch (PinEpoch/UnpinEpoch, or the EpochPin RAII
-/// helper) and pass it to every read, so a query observes one
-/// consistent snapshot no matter how many batches commit while it
-/// drains. Reclaim() — callable directly or via the opt-in background
-/// thread — frees superseded versions no pinned (or future) reader can
-/// ever see.
+/// addressed by Oid {class_id, local}. Storage is column-major (§"Version
+/// chains and the epoch clock"): each class keeps the newest version of
+/// every object in per-slot head columns indexed by local, with the
+/// epoch that version began at and a live flag, and keeps superseded
+/// versions aside in a sparse history. A version covers the half-open
+/// epoch interval [begin, end): a read at epoch E takes the head cell
+/// when the head began at or before E and searches the history
+/// otherwise, and sees the object at all only if that version is live
+/// (deletes turn the head into a dead tombstone rather than reclaiming
+/// the local id, so Oids stay stable). Writers commit through Apply()
+/// under the exclusive side of a reader/writer lock and bump the global
+/// epoch once per batch; readers pin an epoch (PinEpoch/UnpinEpoch, or
+/// the EpochPin RAII helper) and pass it to every read, so a query
+/// observes one consistent snapshot no matter how many batches commit
+/// while it drains. Reclaim() — callable directly or via the opt-in
+/// background thread — frees history entries no pinned (or future)
+/// reader can ever see.
 ///
 /// The single-object CreateObject/SetProperty/DeleteObject calls remain
-/// for loaders and tests; while no reader holds a pin they mutate in
-/// place without versioning or an epoch bump (bulk load stays cheap),
-/// and the moment any pin exists they switch to the same copy-on-write
-/// path as Apply.
+/// for loaders and tests; while no reader holds a pin they write the
+/// head cells in place without versioning or an epoch bump (bulk load
+/// stays cheap), and the moment any pin exists they switch to the same
+/// copy-on-write path as Apply.
 class ObjectStore {
  public:
   ObjectStore() = default;
@@ -191,9 +197,13 @@ class ObjectStore {
 
   /// Number of visible instances (cardinality statistic for the
   /// optimizer; at the latest epoch this is O(1) off the maintained
-  /// live count, at a pinned epoch it scans the chains).
+  /// live count, at a pinned epoch it scans the head arrays).
   Result<uint64_t> ExtentSize(uint32_t class_id,
                               Epoch at = kEpochLatest) const;
+
+  /// Runs once per committed batch with the commit epoch, after the
+  /// batch is written and before the epoch is published.
+  using BeforePublish = std::function<void(Epoch commit)>;
 
   /// Commits a batch of mutations atomically under one epoch bump.
   /// Every mutation is validated against the pre-batch state first; on
@@ -201,7 +211,14 @@ class ObjectStore {
   /// Mutations read the pre-batch snapshot (an update of an oid
   /// inserted by the same batch is rejected), except that repeated
   /// updates of one oid within a batch compose in order.
-  Result<MutationResult> Apply(const std::vector<Mutation>& batch)
+  ///
+  /// `before_publish` (optional) runs under the exclusive store lock
+  /// just before the commit epoch becomes visible, so state kept beside
+  /// the store (the segment directory) moves with the commit: no reader
+  /// can pin the new epoch and still see that state's old version. It
+  /// must not call back into this store.
+  Result<MutationResult> Apply(const std::vector<Mutation>& batch,
+                               const BeforePublish& before_publish = {})
       EXCLUDES(data_mu_);
 
   /// The newest committed epoch.
@@ -218,10 +235,11 @@ class ObjectStore {
   /// the reclaim horizon.
   Epoch MinPinnedEpoch() const EXCLUDES(pin_mu_);
 
-  /// Frees version-chain entries superseded at or before the reclaim
-  /// horizon (entry.end <= MinPinnedEpoch()): no pinned reader can see
-  /// them, and future readers pin epochs >= the horizon. Returns the
-  /// number of versions freed.
+  /// Frees history entries superseded at or before the reclaim horizon
+  /// (entry.end <= MinPinnedEpoch()): no pinned reader can see them,
+  /// and future readers pin epochs >= the horizon. Visits the history
+  /// only, never the head columns. Returns the number of versions
+  /// freed.
   size_t Reclaim() EXCLUDES(data_mu_);
 
   /// Opt-in background reclaim: a thread that runs Reclaim() whenever a
@@ -235,27 +253,63 @@ class ObjectStore {
   StoreStats* mutable_stats() { return &stats_; }
 
  private:
-  /// One copy-on-write entry of an instance's chain, visible at epochs
-  /// in [begin, end). `live == false` is a delete tombstone.
-  struct Version {
+  /// A superseded version of one object, visible at epochs in
+  /// [begin, end). A tombstone is never superseded (deleted oids take
+  /// no further writes), so every history entry is live.
+  struct OldVersion {
     Epoch begin = 0;
-    Epoch end = kEpochLatest;
-    bool live = false;
+    Epoch end = 0;
     std::vector<Value> slots;
   };
-  struct Instance {
-    /// Ascending by begin; the last entry is the current one
-    /// (end == kEpochLatest).
-    std::vector<Version> versions;
-  };
+
+  /// One class, column-major. The head (the newest version of every
+  /// object) lives in dense arrays indexed by local - 1: one Value
+  /// column per slot, the epoch the head version began at, and whether
+  /// it is live (0: a delete tombstone). Superseded versions sit in
+  /// `history`, keyed by local and ascending by begin (searched newest
+  /// first); only objects written since the reclaim horizon have an
+  /// entry. Readers hold data_mu_ shared, writers exclusive.
   struct ClassStorage {
     std::string debug_name;
     uint32_t slot_count = 0;
     uint64_t live_count = 0;  // at the latest epoch
-    std::vector<Instance> instances;
-  };
+    std::vector<std::vector<Value>> columns;  // [slot][local - 1]
+    std::vector<Epoch> head_begin;            // [local - 1]
+    std::vector<uint8_t> live;                // [local - 1]
+    std::unordered_map<uint32_t, std::vector<OldVersion>> history;
 
-  static const Version* VisibleVersion(const Instance& inst, Epoch at);
+    uint32_t size() const { return static_cast<uint32_t>(head_begin.size()); }
+    bool Contains(uint32_t local) const {
+      return local != 0 && local <= size();
+    }
+
+    /// The history entry of `local` visible at `at`, or null when none
+    /// is (the object did not exist yet, or the entry was reclaimed).
+    /// Only meaningful when the head began after `at`.
+    const OldVersion* HistoryAt(uint32_t local, Epoch at) const;
+
+    /// Whether `local` (Contains) is visible and live at `at`.
+    bool VisibleAt(uint32_t local, Epoch at) const {
+      const uint32_t i = local - 1;
+      if (head_begin[i] <= at) return live[i] != 0;
+      return HistoryAt(local, at) != nullptr;
+    }
+
+    /// The value of `slot` for `local` (Contains) at `at`, or null when
+    /// the object is not visible there. A head hit is one array read.
+    const Value* CellAt(uint32_t local, uint32_t slot, Epoch at) const {
+      const uint32_t i = local - 1;
+      if (head_begin[i] <= at) {
+        return live[i] != 0 ? &columns[slot][i] : nullptr;
+      }
+      const OldVersion* old = HistoryAt(local, at);
+      return old != nullptr ? &old->slots[slot] : nullptr;
+    }
+
+    /// Appends a live object whose head begins at `begin`, all slots
+    /// NULL; returns its local.
+    uint32_t Append(Epoch begin);
+  };
 
   /// Resolves kEpochLatest to the current epoch. Callers hold at least
   /// the shared side of data_mu_, under which epoch_ cannot advance
@@ -279,16 +333,28 @@ class ObjectStore {
   /// serialization with the writer first.
   bool AnyPins() const EXCLUDES(pin_mu_);
 
-  /// Appends (or in-place-extends, when the chain head already carries
-  /// epoch `commit`) a copy-on-write successor of inst's current
-  /// version and returns it.
-  Version* MutableVersionAt(Instance* inst, Epoch commit)
+  /// Pushes a history entry for `local`'s head, ended at `commit`, and
+  /// restamps the head to begin there; returns the entry with its slots
+  /// still empty for the caller to fill.
+  OldVersion* SupersedeHead(ClassStorage* cls, uint32_t local, Epoch commit)
+      REQUIRES(data_mu_);
+  /// Readies `local`'s head to take writes of commit `commit`: the
+  /// first touch in a commit copies the head cells into history (end =
+  /// commit) and restamps the head; a later touch in the same commit
+  /// composes in place.
+  void VersionHead(ClassStorage* cls, uint32_t local, Epoch commit)
+      REQUIRES(data_mu_);
+  /// Turns `local`'s live head into a tombstone at `commit`, moving its
+  /// values into history first unless the head already began at
+  /// `commit` (written earlier in the same batch: the batch is atomic,
+  /// so that intermediate version collapses into the tombstone).
+  void TombstoneHead(ClassStorage* cls, uint32_t local, Epoch commit)
       REQUIRES(data_mu_);
 
   void ReclaimLoop();
 
-  /// Reader/writer lock over all chain + class storage. Readers resolve
-  /// their epoch and walk chains under the shared side; Apply and the
+  /// Reader/writer lock over all class storage. Readers resolve their
+  /// epoch and read heads and history under the shared side; Apply and the
   /// legacy writes hold the exclusive side. Acquired before pin_mu_
   /// everywhere both are held (Apply/Reclaim take data_mu_ then consult
   /// the pin table).

@@ -27,6 +27,8 @@
 #include "vql/parser.h"
 #include "workload/document_db.h"
 
+#include "page_file.h"
+
 namespace vodak {
 namespace exec {
 namespace {
@@ -525,8 +527,8 @@ TEST_F(ExecSharedScanTest, ElidedProjectDedupMatchesOracleWithLateAttachers) {
   }
   storage::PagerOptions pager;
   pager.cache_pages = 4;
-  auto segments = storage::SegmentStore::Open(
-      ::testing::TempDir() + "vodak_shared_elide.pages", pager);
+  const std::string page_path = testing::PrivatePagePath("shared_elide");
+  auto segments = storage::SegmentStore::Open(page_path, pager);
   ASSERT_TRUE(segments.ok()) << segments.status().ToString();
   storage::IngestOptions ingest;
   ingest.rows_per_segment = 16;
@@ -602,6 +604,8 @@ TEST_F(ExecSharedScanTest, ElidedProjectDedupMatchesOracleWithLateAttachers) {
       }
     }
   }
+  segments.value().reset();
+  std::remove(page_path.c_str());
 }
 
 // ------------------------------------------------- thread resolution

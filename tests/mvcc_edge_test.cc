@@ -329,5 +329,82 @@ TEST_F(MvccEdgeTest, VqlWriteStatementsRoundTrip) {
   store_.UnpinEpoch(before);
 }
 
+// ------------------------------------- history under interleaved pins
+// Every object keeps its newest version in the head columns and older
+// ones in the history. Readers pinned at several epochs, some of them
+// between two writes of the same object, each keep their exact world
+// while the pins are released out of order and reclaim runs after
+// every release: reclaim frees only what lies below the oldest pin.
+TEST_F(MvccEdgeTest, HistoryServesEveryPinnedEpochAcrossOutOfOrderUnpins) {
+  engine::Database session(&catalog_, &store_, &methods_);
+  vql::Interpreter interpreter(&catalog_, &store_, &methods_);
+  auto parsed =
+      vql::ParseQuery("ACCESS [o: a, x: a.v1, y: a.v2] FROM a IN Account");
+  ASSERT_TRUE(parsed.ok());
+  vql::Binder binder(&catalog_);
+  auto bound = binder.Bind(parsed.value());
+  ASSERT_TRUE(bound.ok());
+  auto world_at = [&](Epoch at) {
+    vql::Interpreter::Options row;
+    row.row_mode = true;
+    row.snapshot_epoch = at;
+    auto world = interpreter.Run(bound.value(), row);
+    EXPECT_TRUE(world.ok()) << world.status().ToString();
+    return world.ok() ? world.value() : Value::Null();
+  };
+
+  // Each statement commits one epoch; oids_[0] is written three times.
+  const std::vector<std::string> writes = {
+      "UPDATE Account SET v1 = 100, v2 = 100 WHERE self.v1 < 4",
+      "DELETE FROM Account WHERE self.v1 == 5",
+      "INSERT INTO Account SET v1 = 50, v2 = 50",
+      "UPDATE Account SET v1 = self.v1 + 1, v2 = self.v2 + 1",
+  };
+  std::vector<Epoch> pins = {store_.PinEpoch()};
+  std::vector<Value> worlds = {world_at(pins[0])};
+  std::vector<uint64_t> sizes = {store_.ExtentSize(class_id_).value()};
+  for (const std::string& vql : writes) {
+    engine::QueryRequest request;
+    request.vql = vql;
+    auto out = session.Submit({request});
+    ASSERT_TRUE(out[0].status.ok()) << out[0].status.ToString();
+    pins.push_back(store_.PinEpoch());
+    EXPECT_EQ(pins.back(), out[0].stats.snapshot_epoch);
+    worlds.push_back(world_at(pins.back()));
+    sizes.push_back(store_.ExtentSize(class_id_).value());
+  }
+  EXPECT_EQ(sizes, (std::vector<uint64_t>{8, 8, 7, 8, 8}));
+
+  auto expect_pinned_worlds = [&](const std::vector<size_t>& held) {
+    for (size_t k : held) {
+      EXPECT_EQ(world_at(pins[k]), worlds[k]) << "pin " << k;
+      EXPECT_EQ(store_.ExtentSize(class_id_, pins[k]).value(), sizes[k]);
+      for (const Value& row : worlds[k].AsSet()) {
+        EXPECT_EQ(row.GetField("x").value(), row.GetField("y").value())
+            << "torn row at pin " << k;
+      }
+    }
+  };
+  expect_pinned_worlds({0, 1, 2, 3, 4});
+
+  // Release a middle pin first: the oldest still holds the horizon.
+  store_.UnpinEpoch(pins[2]);
+  EXPECT_EQ(store_.Reclaim(), 0u);
+  expect_pinned_worlds({0, 1, 3, 4});
+  // Release the oldest: versions that ended by pins[1] go.
+  store_.UnpinEpoch(pins[0]);
+  EXPECT_EQ(store_.Reclaim(), 4u);  // the four updated by the first write
+  expect_pinned_worlds({1, 3, 4});
+  store_.UnpinEpoch(pins[1]);
+  store_.UnpinEpoch(pins[3]);
+  // Horizon pins[4]: the deleted object's last live version and the
+  // eight versions the last update superseded (the insert's included).
+  EXPECT_EQ(store_.Reclaim(), 1u + 8u);
+  expect_pinned_worlds({4});
+  store_.UnpinEpoch(pins[4]);
+  EXPECT_EQ(store_.Reclaim(), 0u);
+  EXPECT_EQ(world_at(kEpochLatest), worlds[4]);
+}
+
 }  // namespace
 }  // namespace vodak

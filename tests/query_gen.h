@@ -14,6 +14,7 @@
 
 #include <random>
 #include <string>
+#include <utility>
 
 namespace vodak {
 namespace testing {
@@ -25,7 +26,10 @@ namespace testing {
 /// reference population.
 class QueryGenerator {
  public:
-  explicit QueryGenerator(uint64_t seed) : rng_(seed) {}
+  /// `var` names the Item variable in generated text: "a" in ACCESS
+  /// queries, "self" in the predicates of UPDATE/DELETE statements.
+  explicit QueryGenerator(uint64_t seed, std::string var = "a")
+      : rng_(seed), var_(std::move(var)) {}
 
   /// One random ACCESS query over Item. Shapes covered: bare scans,
   /// predicate chains (nested AND/OR/NOT over total-order compares and
@@ -33,32 +37,40 @@ class QueryGenerator {
   /// single-value and tuple projections — every query is valid VQL and
   /// error-free on any Item corpus.
   std::string NextQuery() {
-    std::string query = "ACCESS " + Projection() + " FROM a IN Item";
+    std::string query =
+        "ACCESS " + Projection() + " FROM " + var_ + " IN Item";
     if (Pick(8) != 0) query += " WHERE " + Condition(0);
     return query;
   }
 
+  /// One random WHERE condition over the variable: the predicate
+  /// shapes NextQuery draws from.
+  std::string NextCondition() { return Condition(0); }
+
  private:
   int Pick(int n) { return static_cast<int>(rng_() % n); }
+
+  /// A property read on the variable.
+  std::string P(const char* prop) const { return var_ + "." + prop; }
 
   std::string Projection() {
     switch (Pick(6)) {
       case 0:
-        return "a";
+        return var_;
       case 1:
-        return "a.v1";
+        return P("v1");
       case 2:
         // The NULL-heavy column: projected NILs must survive all
         // three engines identically.
-        return "a.v3";
+        return P("v3");
       case 3:
-        return "[x: a.v1, y: a.bucket]";
+        return "[x: " + P("v1") + ", y: " + P("bucket") + "]";
       case 4:
         // A map riding inside the projection (binds a fresh reference
         // in the translated plan).
-        return "a.v1 + a.v2";
+        return P("v1") + " + " + P("v2");
       default:
-        return "[x: a.v2, y: a.v3]";
+        return "[x: " + P("v2") + ", y: " + P("v3") + "]";
     }
   }
 
@@ -69,15 +81,15 @@ class QueryGenerator {
   std::string Operand() {
     switch (Pick(5)) {
       case 0:
-        return "a.v1";
+        return P("v1");
       case 1:
-        return "a.v2";
+        return P("v2");
       case 2:
-        return "a.v3";  // compares against NIL are total, never error
+        return P("v3");  // compares against NIL are total, never error
       case 3:
-        return "a.v1 + " + std::to_string(Pick(50));
+        return P("v1") + " + " + std::to_string(Pick(50));
       default:
-        return "a.v2 * " + std::to_string(1 + Pick(5));
+        return P("v2") + " * " + std::to_string(1 + Pick(5));
     }
   }
 
@@ -110,6 +122,7 @@ class QueryGenerator {
   }
 
   std::mt19937_64 rng_;
+  std::string var_;
 };
 
 }  // namespace testing

@@ -16,6 +16,7 @@
 // replays exactly).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <random>
 #include <string>
@@ -28,6 +29,7 @@
 #include "storage/segment_store.h"
 #include "vql/interpreter.h"
 
+#include "page_file.h"
 #include "query_gen.h"
 #include "test_seed.h"
 
@@ -84,8 +86,8 @@ class SegmentDiffTest : public ::testing::Test {
 
     storage::PagerOptions pager;
     pager.cache_pages = 16;  // far below the corpus: eviction is live
-    auto segments = storage::SegmentStore::Open(
-        ::testing::TempDir() + "vodak_segment_diff.pages", pager);
+    page_path_ = testing::PrivatePagePath("segment_diff");
+    auto segments = storage::SegmentStore::Open(page_path_, pager);
     ASSERT_TRUE(segments.ok()) << segments.status().ToString();
     segments_ = std::move(segments.value());
     ASSERT_TRUE(Ingest().ok());
@@ -157,9 +159,15 @@ class SegmentDiffTest : public ::testing::Test {
     return true;
   }
 
+  void TearDown() override {
+    segments_.reset();
+    std::remove(page_path_.c_str());
+  }
+
   Catalog catalog_;
   ObjectStore store_;
   MethodRegistry methods_;
+  std::string page_path_;
   std::unique_ptr<storage::SegmentStore> segments_;
   uint32_t class_id_ = 0;
 };
@@ -257,6 +265,53 @@ TEST_F(SegmentDiffTest, SharedScanBatchesAgreeWithOracle) {
           << "\n  query: " << queries[i] << "\n  seed: " << seed;
     }
   }
+}
+
+// A write commit closes the touched class's open segment version
+// before its epoch becomes visible. An observer spins on the store's
+// epoch and, the moment a new one appears, asks the directory for the
+// version at that epoch: none may have begun before it, since such
+// segments predate the commit. Closing after the publish leaves a gap
+// in which a reader that pins the new epoch is served the stale open
+// version.
+TEST_F(SegmentDiffTest, CommitClosesSegmentVersionBeforeEpochIsVisible) {
+  constexpr int kCommits = 200;
+  auto session = SegmentSession();
+  std::atomic<bool> done{false};
+  int observed = 0;
+  int stale = 0;
+  std::thread observer([&] {
+    Epoch seen = store_.CurrentEpoch();
+    while (!done.load(std::memory_order_acquire)) {
+      const Epoch now = store_.CurrentEpoch();
+      if (now == seen) continue;
+      seen = now;
+      ++observed;
+      // A version ingested at `now` (the next round's re-ingest, when
+      // this thread runs late) is current; one that began earlier
+      // predates the commit.
+      const storage::SegmentVersionRef version =
+          segments_->VersionAt(class_id_, now);
+      if (version != nullptr && version->begin < now) ++stale;
+    }
+  });
+  for (int i = 0; i < kCommits; ++i) {
+    engine::QueryRequest request;
+    request.vql = "UPDATE Item SET v2 = " + std::to_string(i % 7) +
+                  " WHERE self.v1 == " + std::to_string(i);
+    // Re-open the segment path, so every commit has an open version
+    // to close.
+    EXPECT_TRUE(Ingest().ok());
+    const Status status = session->Submit({request})[0].status;
+    if (!status.ok()) {
+      ADD_FAILURE() << status.ToString();
+      break;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  observer.join();
+  EXPECT_GT(observed, 0);
+  EXPECT_EQ(stale, 0) << "of " << observed << " observed commits";
 }
 
 // Phase 3: the same differential under concurrent Submit writer

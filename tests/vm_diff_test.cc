@@ -57,7 +57,12 @@ class VmDiffTest : public ::testing::Test {
     ASSERT_TRUE(cls.value()->AddProperty("bucket", Type::Int()).ok());
     class_id_ = cls.value()->class_id();
     ASSERT_EQ(store_.RegisterClass("Item", 4), class_id_);
-    for (int i = 0; i < kInitialObjects; ++i) {
+    AddItems(0, kInitialObjects);
+  }
+
+  /// Creates Items i in [from, to) in extent order: v1 = i ascending.
+  void AddItems(int from, int to) {
+    for (int i = from; i < to; ++i) {
       auto oid = store_.CreateObject(class_id_);
       ASSERT_TRUE(oid.ok());
       ASSERT_TRUE(store_.SetProperty(oid.value(), 0, Value::Int(i)).ok());
@@ -73,6 +78,22 @@ class VmDiffTest : public ::testing::Test {
           store_.SetProperty(oid.value(), 3, Value::Int(i % kBuckets))
               .ok());
     }
+  }
+
+  /// The row-mode oracle's answer (or error) for `query` at the
+  /// current epoch.
+  Result<Value> Oracle(engine::Database* session, const std::string& query) {
+    vql::Interpreter::Options row;
+    row.row_mode = true;
+    return session->RunNaive(query, row);
+  }
+
+  /// Submits one write statement; returns its outcome.
+  engine::QueryOutcome Write(engine::Database* session,
+                             const std::string& vql) {
+    engine::QueryRequest request;
+    request.vql = vql;
+    return session->Submit({request})[0];
   }
 
   /// Runs one query through all three engines and fails (with query +
@@ -233,6 +254,98 @@ TEST_F(VmDiffTest, VmAgreesWithOracleUnderConcurrentWrites) {
     }
   }
   EXPECT_EQ(replayed, static_cast<size_t>(kReaders * kReaderIters));
+}
+
+// Phase 3: the write path's predicate expansion. UPDATE and DELETE
+// evaluate WHERE in batches of extent rows and SET over each batch's
+// survivors; the objects a statement touches must be exactly the rows
+// the row-mode oracle's `ACCESS self FROM self IN Item WHERE <pred>`
+// returns, over a corpus that spans several batches, and an error must
+// be the one the row-at-a-time order meets first.
+TEST_F(VmDiffTest, WriteExpansionTouchesExactlyTheOracleRows) {
+  constexpr int kCorpus = 2300;  // two full write batches and a partial
+  constexpr int kRounds = 60;
+  constexpr int64_t kMark = 1000;  // v2 is a residue below 7
+  AddItems(kInitialObjects, kCorpus);
+  const uint64_t seed = testing::TestSeed() + 53;
+  engine::Database session(&catalog_, &store_, &methods_);
+  testing::QueryGenerator gen(seed, "self");
+  const std::string marked =
+      "ACCESS self FROM self IN Item WHERE self.v2 >= " +
+      std::to_string(kMark);
+
+  // Errors. In the second batch of rows the WHERE divides by zero at
+  // v1 == 1900, and the SET adds to the NULL-heavy v3 on earlier
+  // survivors: a whole-batch WHERE meets the division first, the
+  // row-at-a-time order meets the NULL addition first. Nothing commits.
+  const std::string failing =
+      "self.v1 >= 1030 AND (self.v1 - 1900) / (self.v1 - 1900) == 1";
+  const Epoch epoch = store_.CurrentEpoch();
+  auto row_order = Oracle(&session, "ACCESS self.v2 + self.v3 FROM self IN "
+                                    "Item WHERE " + failing);
+  ASSERT_FALSE(row_order.ok()) << row_order.value().ToString().substr(0, 300);
+  auto update = Write(&session, "UPDATE Item SET v3 = self.v2 + self.v3 "
+                                "WHERE " + failing);
+  ASSERT_FALSE(update.status.ok());
+  EXPECT_EQ(update.status.ToString(), row_order.status().ToString());
+  EXPECT_NE(update.status.message().find("arithmetic +"), std::string::npos)
+      << update.status.ToString();
+  auto where_only = Oracle(&session, "ACCESS self FROM self IN Item WHERE " +
+                                         failing);
+  ASSERT_FALSE(where_only.ok());
+  auto del = Write(&session, "DELETE FROM Item WHERE " + failing);
+  ASSERT_FALSE(del.status.ok());
+  EXPECT_EQ(del.status.ToString(), where_only.status().ToString());
+  EXPECT_EQ(store_.CurrentEpoch(), epoch);
+
+
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string pred = gen.NextCondition();
+    auto oracle = Oracle(&session, "ACCESS self FROM self IN Item WHERE " +
+                                       pred);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    const size_t expected = oracle.value().AsSet().size();
+    const std::string context =
+        "\n  predicate: " + pred + "\n  seed: " + std::to_string(seed);
+
+    if (round % 10 == 9) {
+      // DELETE: the extent loses exactly the oracle's rows.
+      auto before = store_.Extent(class_id_);
+      ASSERT_TRUE(before.ok());
+      auto out = Write(&session, "DELETE FROM Item WHERE " + pred);
+      ASSERT_TRUE(out.status.ok()) << out.status.ToString() << context;
+      EXPECT_EQ(out.result.result, Value::Int(static_cast<int64_t>(expected)))
+          << context;
+      auto after = store_.Extent(class_id_);
+      ASSERT_TRUE(after.ok());
+      std::vector<Value> gone;
+      size_t kept = 0;
+      for (Oid oid : before.value()) {
+        if (kept < after.value().size() && after.value()[kept] == oid) {
+          ++kept;
+        } else {
+          gone.push_back(Value::OfOid(oid));
+        }
+      }
+      EXPECT_EQ(Value::Set(std::move(gone)), oracle.value()) << context;
+      continue;
+    }
+
+    // UPDATE: mark the touched rows, read the marks back, then clear
+    // them so the corpus stays the generator's for the next round.
+    auto out = Write(&session, "UPDATE Item SET v2 = self.v2 + " +
+                                   std::to_string(kMark) + " WHERE " + pred);
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString() << context;
+    EXPECT_EQ(out.result.result, Value::Int(static_cast<int64_t>(expected)))
+        << context;
+    auto touched = Oracle(&session, marked);
+    ASSERT_TRUE(touched.ok()) << touched.status().ToString();
+    EXPECT_EQ(touched.value(), oracle.value()) << context;
+    out = Write(&session, "UPDATE Item SET v2 = self.v2 - " +
+                              std::to_string(kMark) +
+                              " WHERE self.v2 >= " + std::to_string(kMark));
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+  }
 }
 
 }  // namespace
