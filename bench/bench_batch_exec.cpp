@@ -1,13 +1,13 @@
-// Experiment X7: batch-at-a-time vs tuple-at-a-time physical execution,
-// extended with the morsel-driven parallel pipeline (X7b). Drives the
-// same scan+select plan (extent scan over ~100k Paragraph objects,
-// predicate on a stored property) through the row pipeline (Next), the
-// vectorized pipeline (NextBatch) and the parallel driver at a sweep of
-// thread counts, and reports throughput plus the batch/row and
-// parallel/serial speedups. Acceptance bars: >= 2x for batch over row,
-// and >= 2x at threads=4 over threads=1 (on hardware with >= 4 cores;
-// the JSON records hardware_concurrency so single-core CI runs are
-// interpretable).
+// Experiment X7: the batch executor against the row-mode interpreter,
+// plus the morsel-driven parallel pipeline (X7b). Drives one
+// scan+select query (extent scan over ~100k Paragraph objects,
+// predicate on a stored property) through the row-mode interpreter
+// (the row-at-a-time oracle), the serial batch pipeline
+// (BuildPhysical + ExecuteColumn) and the parallel driver
+// (ParallelExecuteColumn) at a sweep of thread counts. The serial and
+// parallel sides build the same result set, so speedup_vs_serial
+// compares like with like; the JSON records hardware_concurrency so
+// single-core runs are interpretable.
 //
 // A second section (X8) measures the set-at-a-time method ABI on the
 // paper's own workload shape — WHERE clauses calling external methods:
@@ -15,34 +15,35 @@
 // the content-column read and query tokenization) and the IR retrieval
 // `p IS-IN Paragraph->retrieve_by_string(s)` (batch dispatch dedups the
 // constant argument into ONE postings intersection per ~1024-row batch,
-// where the row pipeline probes the index once per row). The method
-// corpus is capped (--method-docs) because the row-mode probe storm is
-// quadratic-ish in corpus size; the JSON records the probe counts so
-// the amortization is checkable, not just the wall clock.
+// where the row-mode interpreter probes the index once per row). The
+// method corpus is capped (--method-docs) because the row-mode probe
+// storm is quadratic-ish in corpus size; the JSON records the probe
+// counts so the amortization is checkable, not just the wall clock.
 //
 // A third section (X9) measures the selection-vector pipeline on a
 // multi-predicate selection chain (map + three stacked filters, the
-// shape the semantic optimizer's derived predicates produce): the
-// marking pipeline (filters intersect the batch's selection vector,
-// density restored once at the drain boundary) against the compacting
-// baseline (ExecContext::filter_compacts — every filter physically
-// moves the survivors). Both wall clock and the BatchCopyStats value
-// move/copy counters are recorded, so the copy-tax claim is checkable;
-// scripts/ci.sh fails when the selection path regresses to more copies
-// than rows.
+// shape the semantic optimizer's derived predicates produce): filters
+// intersect the batch's selection vector and density is restored once
+// at the drain boundary. The BatchCopyStats value move/copy counters
+// are recorded; scripts/ci.sh fails when the chain moves more than one
+// value per surviving row and carried column, or more values than
+// scanned rows.
 //
 // Flags: --docs=N        corpus size in documents (default 8350 ->
 //                        ~100k paragraphs, 3 sections x 4 paragraphs)
 //        --method-docs=N corpus size for the method workloads
 //                        (default min(docs, 800))
-//        --reps=N        timed repetitions per mode (default 5)
+//        --reps=N        timed repetitions per mode (default 5); every
+//                        reported time is the median
 //        --json=PATH     machine-readable scan+parallel results
 //        --json-method=PATH machine-readable method-ABI results
 //        --json-selvec=PATH machine-readable selection-chain results
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +53,7 @@
 #include "common/copy_stats.h"
 #include "exec/parallel.h"
 #include "exec/physical.h"
+#include "vql/interpreter.h"
 #include "vql/parser.h"
 
 namespace {
@@ -64,9 +66,24 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Median wall clock of `reps` runs of `fn`.
+double MedianMs(int reps, const std::function<void()>& fn) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    ms.push_back(MsSince(start));
+  }
+  std::sort(ms.begin(), ms.end());
+  const size_t n = ms.size();
+  return n == 0 ? 0.0 : (n % 2 ? ms[n / 2] : (ms[n / 2 - 1] + ms[n / 2]) / 2);
+}
+
 struct PlanFixture {
   std::unique_ptr<algebra::AlgebraContext> ctx;
+  vql::BoundQuery bound;
   algebra::LogicalRef plan;
+  std::string result_ref;
   exec::ExecContext exec_ctx;
 };
 
@@ -79,82 +96,73 @@ PlanFixture MakePlan(workload::DocumentDb* db, const std::string& vql) {
   vql::Binder binder(&db->catalog());
   auto bound = binder.Bind(query.value());
   VODAK_CHECK(bound.ok()) << bound.status().ToString();
-  auto plan = algebra::TranslateQuery(*fixture.ctx, bound.value());
+  fixture.bound = std::move(bound).value();
+  auto plan = algebra::TranslateQuery(*fixture.ctx, fixture.bound);
   VODAK_CHECK(plan.ok()) << plan.status().ToString();
   fixture.plan = plan.value();
+  fixture.result_ref = algebra::ResultRef(fixture.bound);
   fixture.exec_ctx =
       exec::ExecContext{&db->catalog(), &db->store(), &db->methods()};
   return fixture;
 }
 
-/// One timed drain through the chosen pipeline; returns (elapsed ms,
-/// rows emitted by the plan root).
-std::pair<double, size_t> RunOnce(const PlanFixture& fixture,
-                                  exec::ExecMode mode) {
-  auto phys = exec::BuildPhysical(fixture.plan, fixture.exec_ctx);
-  VODAK_CHECK(phys.ok()) << phys.status().ToString();
-  exec::PhysOperator* root = phys.value().get();
-  size_t rows = 0;
-  auto start = std::chrono::steady_clock::now();
-  VODAK_CHECK(root->Open().ok());
-  if (mode == exec::ExecMode::kRow) {
-    exec::Row row;
-    for (;;) {
-      auto more = root->Next(&row);
-      VODAK_CHECK(more.ok()) << more.status().ToString();
-      if (!more.value()) break;
-      ++rows;
-    }
-  } else {
-    exec::RowBatch batch;
-    for (;;) {
-      auto more = root->NextBatch(&batch);
-      VODAK_CHECK(more.ok()) << more.status().ToString();
-      if (!more.value()) break;
-      rows += batch.active_rows();  // filters emit selected batches
-    }
-  }
-  root->Close();
-  return {MsSince(start), rows};
+/// The row-at-a-time side: the row-mode interpreter over the query.
+Value RunRowMode(workload::DocumentDb* db, const PlanFixture& fixture) {
+  vql::Interpreter interpreter(&db->catalog(), &db->store(),
+                               &db->methods());
+  vql::Interpreter::Options row_mode;
+  row_mode.row_mode = true;
+  auto result = interpreter.Run(fixture.bound, row_mode);
+  VODAK_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
-/// One timed drain through the morsel-driven parallel driver (threads=1
-/// degenerates to the serial batch pipeline inside the driver).
-std::pair<double, size_t> RunParallelOnce(const PlanFixture& fixture,
-                                          size_t threads,
-                                          exec::WorkerPool* pool) {
+/// The serial batch side: build the physical plan and drain the result
+/// column.
+Value RunSerial(const PlanFixture& fixture) {
+  auto phys = exec::BuildPhysical(fixture.plan, fixture.exec_ctx);
+  VODAK_CHECK(phys.ok()) << phys.status().ToString();
+  auto result = exec::ExecuteColumn(phys.value().get(), fixture.result_ref);
+  VODAK_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
+}
+
+/// The parallel side: the same result column through the morsel-driven
+/// driver (threads=1 degenerates to the serial pipeline inside it).
+Value RunParallel(const PlanFixture& fixture, size_t threads,
+                  exec::WorkerPool* pool) {
   exec::ParallelOptions options;
   options.threads = threads;
   options.pool = pool;
-  auto start = std::chrono::steady_clock::now();
-  auto rows = exec::ParallelDrainRows(fixture.plan, fixture.exec_ctx,
-                                      options);
-  double ms = MsSince(start);
-  VODAK_CHECK(rows.ok()) << rows.status().ToString();
-  return {ms, rows.value().size()};
+  auto result = exec::ParallelExecuteColumn(fixture.plan, fixture.exec_ctx,
+                                            fixture.result_ref, options);
+  VODAK_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
 struct ParallelPoint {
   size_t threads = 0;
   double ms = 0.0;
   double mrows_per_s = 0.0;
-  double speedup_vs_threads1 = 0.0;
+  double speedup_vs_serial = 0.0;
 };
 
-/// Row-vs-batch timings for one method-ABI workload, plus the external
-/// index probe counts that prove the set-at-a-time amortization.
+/// Row-mode vs batch timings for one method-ABI workload, plus the
+/// external index probe counts that prove the set-at-a-time
+/// amortization.
 struct MethodPoint {
   const char* key = "";
   const char* vql = "";
   double row_ms = 0.0;
   double batch_ms = 0.0;
   size_t hits = 0;
-  uint64_t probes_row = 0;    // IR searches during one row drain
+  uint64_t probes_row = 0;    // IR searches during one row-mode run
   uint64_t probes_batch = 0;  // IR searches during one batch drain
 };
 
-/// Times one method workload through both pipelines and records the IR
-/// probe counts of a single drain of each.
+/// Times one method workload through the row-mode interpreter and the
+/// serial batch pipeline and records the IR probe counts of one run of
+/// each.
 MethodPoint RunMethodWorkload(workload::DocumentDb* db, const char* key,
                               const char* vql, int reps) {
   MethodPoint point;
@@ -162,21 +170,17 @@ MethodPoint RunMethodWorkload(workload::DocumentDb* db, const char* key,
   point.vql = vql;
   PlanFixture fixture = MakePlan(db, vql);
   db->ResetCounters();
-  auto warm_row = RunOnce(fixture, exec::ExecMode::kRow);
+  const Value warm_row = RunRowMode(db, fixture);
   point.probes_row = db->paragraph_index().search_count();
   db->ResetCounters();
-  auto warm_batch = RunOnce(fixture, exec::ExecMode::kBatch);
+  const Value warm_batch = RunSerial(fixture);
   point.probes_batch = db->paragraph_index().search_count();
-  VODAK_CHECK(warm_row.second == warm_batch.second)
-      << key << ": row/batch cardinality mismatch: " << warm_row.second
-      << " vs " << warm_batch.second;
-  point.hits = warm_row.second;
-  for (int r = 0; r < reps; ++r) {
-    point.row_ms += RunOnce(fixture, exec::ExecMode::kRow).first;
-    point.batch_ms += RunOnce(fixture, exec::ExecMode::kBatch).first;
-  }
-  point.row_ms /= reps;
-  point.batch_ms /= reps;
+  VODAK_CHECK(warm_row == warm_batch)
+      << key << ": row-mode/batch results differ: "
+      << warm_row.AsSet().size() << " vs " << warm_batch.AsSet().size();
+  point.hits = warm_batch.AsSet().size();
+  point.row_ms = MedianMs(reps, [&] { RunRowMode(db, fixture); });
+  point.batch_ms = MedianMs(reps, [&] { RunSerial(fixture); });
   return point;
 }
 
@@ -232,68 +236,55 @@ int main(int argc, char** argv) {
   PlanFixture fixture = MakePlan(
       &db, "ACCESS p FROM p IN Paragraph WHERE p.number >= 1");
 
-  // Warm-up (also validates that both modes agree on the result).
-  auto warm_row = RunOnce(fixture, exec::ExecMode::kRow);
-  auto warm_batch = RunOnce(fixture, exec::ExecMode::kBatch);
-  VODAK_CHECK(warm_row.second == warm_batch.second)
-      << "row/batch cardinality mismatch: " << warm_row.second << " vs "
-      << warm_batch.second;
+  // Warm-up, which also checks that every side returns the same set.
+  const Value warm_row = RunRowMode(&db, fixture);
+  const Value warm_batch = RunSerial(fixture);
+  VODAK_CHECK(warm_row == warm_batch)
+      << "row-mode/batch results differ: " << warm_row.AsSet().size()
+      << " vs " << warm_batch.AsSet().size();
+  const size_t hits = warm_batch.AsSet().size();
 
-  double row_ms = 0.0;
-  double batch_ms = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    row_ms += RunOnce(fixture, exec::ExecMode::kRow).first;
-    batch_ms += RunOnce(fixture, exec::ExecMode::kBatch).first;
-  }
-  row_ms /= reps;
-  batch_ms /= reps;
+  const double row_ms = MedianMs(reps, [&] { RunRowMode(&db, fixture); });
+  const double batch_ms = MedianMs(reps, [&] { RunSerial(fixture); });
 
   const double row_mrows =
       num_paragraphs / row_ms / 1000.0;  // million rows/s
   const double batch_mrows = num_paragraphs / batch_ms / 1000.0;
   std::printf("workload: scan+select over %zu paragraphs, %zu hits\n",
-              num_paragraphs, warm_row.second);
-  std::printf("row-at-a-time   (Next):      %8.2f ms  %6.2f Mrows/s\n",
+              num_paragraphs, hits);
+  std::printf("row-mode interpreter:        %8.2f ms  %6.2f Mrows/s\n",
               row_ms, row_mrows);
-  std::printf("batch-at-a-time (NextBatch): %8.2f ms  %6.2f Mrows/s\n",
+  std::printf("serial batch (ExecuteColumn):%8.2f ms  %6.2f Mrows/s\n",
               batch_ms, batch_mrows);
   std::printf("batch_vs_row_speedup: %.2fx\n", row_ms / batch_ms);
 
-  // Morsel-driven parallel sweep. One pool sized for the largest sweep
-  // point, reused across thread counts (ParallelRun claims only as many
-  // lanes as there are worker drains).
+  // Morsel-driven parallel sweep over the same result column. One pool
+  // sized for the largest sweep point, reused across thread counts
+  // (ParallelRun claims only as many lanes as there are worker drains).
   const std::vector<size_t> sweep = {1, 2, 4, 8};
   exec::WorkerPool pool(sweep.back());
   std::vector<ParallelPoint> points;
-  double t1_ms = 0.0;
   for (size_t threads : sweep) {
-    auto warm = RunParallelOnce(fixture, threads, &pool);
-    VODAK_CHECK(warm.second == warm_row.second)
-        << "parallel cardinality mismatch at threads=" << threads
-        << ": " << warm.second << " vs " << warm_row.second;
-    double ms = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      ms += RunParallelOnce(fixture, threads, &pool).first;
-    }
-    ms /= reps;
-    if (threads == 1) t1_ms = ms;
+    VODAK_CHECK(RunParallel(fixture, threads, &pool) == warm_batch)
+        << "parallel result differs at threads=" << threads;
     ParallelPoint point;
     point.threads = threads;
-    point.ms = ms;
-    point.mrows_per_s = num_paragraphs / ms / 1000.0;
-    point.speedup_vs_threads1 = t1_ms / ms;
+    point.ms =
+        MedianMs(reps, [&] { RunParallel(fixture, threads, &pool); });
+    point.mrows_per_s = num_paragraphs / point.ms / 1000.0;
+    point.speedup_vs_serial = batch_ms / point.ms;
     points.push_back(point);
     std::printf(
         "parallel (threads=%zu):       %8.2f ms  %6.2f Mrows/s  "
-        "%5.2fx vs threads=1\n",
-        threads, point.ms, point.mrows_per_s,
-        point.speedup_vs_threads1);
+        "%5.2fx vs serial\n",
+        threads, point.ms, point.mrows_per_s, point.speedup_vs_serial);
   }
   double speedup_t4 = 0.0;
   for (const ParallelPoint& p : points) {
-    if (p.threads == 4) speedup_t4 = p.speedup_vs_threads1;
+    if (p.threads == 4) speedup_t4 = p.speedup_vs_serial;
   }
-  std::printf("parallel_speedup_threads4: %.2fx (hardware threads: %u)\n",
+  std::printf("parallel_speedup_threads4: %.2fx vs serial "
+              "(hardware threads: %u)\n",
               speedup_t4, std::thread::hardware_concurrency());
 
   if (!json_path.empty()) {
@@ -307,7 +298,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"workload\": \"scan+select p.number >= 1\",\n");
     std::fprintf(f, "  \"docs\": %u,\n", docs);
     std::fprintf(f, "  \"paragraphs\": %zu,\n", num_paragraphs);
-    std::fprintf(f, "  \"hits\": %zu,\n", warm_row.second);
+    std::fprintf(f, "  \"hits\": %zu,\n", hits);
     std::fprintf(f, "  \"reps\": %d,\n", reps);
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                  std::thread::hardware_concurrency());
@@ -320,10 +311,10 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"threads\": %zu, \"ms\": %.3f, "
                    "\"mrows_per_s\": %.3f, "
-                   "\"speedup_vs_threads1\": %.3f}%s\n",
+                   "\"speedup_vs_serial\": %.3f}%s\n",
                    points[i].threads, points[i].ms,
                    points[i].mrows_per_s,
-                   points[i].speedup_vs_threads1,
+                   points[i].speedup_vs_serial,
                    i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
@@ -338,7 +329,8 @@ int main(int argc, char** argv) {
   const size_t method_paragraphs = static_cast<size_t>(method_docs) * 3 * 4;
   // The scan corpus is reused when it already has the right size (the
   // CI smoke shape); otherwise a capped method corpus is built — the
-  // row pipeline's one-probe-per-row storm makes larger ones pointless.
+  // row-mode interpreter's one-probe-per-row storm makes larger ones
+  // pointless.
   workload::DocumentDb mdb_storage;
   workload::DocumentDb* mdb = &db;
   if (method_docs != docs) {
@@ -364,7 +356,7 @@ int main(int argc, char** argv) {
       "Paragraph->retrieve_by_string('implementation')",
       reps));
   for (const MethodPoint& p : method_points) {
-    std::printf("method workload %-16s %8.2f ms row  %8.2f ms batch  "
+    std::printf("method workload %-16s %8.2f ms row-mode  %8.2f ms batch  "
                 "%5.2fx  (IR probes: %llu row vs %llu batch)\n",
                 p.key, p.row_ms, p.batch_ms, p.row_ms / p.batch_ms,
                 static_cast<unsigned long long>(p.probes_row),
@@ -406,13 +398,11 @@ int main(int argc, char** argv) {
     std::printf("json written to %s\n", json_method_path.c_str());
   }
 
-  // -------- X9: selection-vector chain vs compacting filters.
-  // The chain: map n := p.number, then three stacked cheap predicates
-  // (75% / 50% / 25% cumulative survivors over numbers 0..3). Each
-  // Select is its own Filter operator, so the compacting baseline pays
-  // one full-batch compaction per predicate while the marking pipeline
-  // narrows one selection vector and compacts once at the drain
-  // boundary.
+  // -------- X9: the selection-vector chain.
+  // The chain: map n := p.number, map s := p.section, then three stacked
+  // cheap predicates (75% / 50% / 25% cumulative survivors over numbers
+  // 0..3). Each Select is its own Filter operator narrowing one
+  // selection vector; the drain boundary compacts the survivors once.
   auto parse_expr = [](const char* text) {
     auto e = vql::ParseExpr(text);
     VODAK_CHECK(e.ok()) << e.status().ToString();
@@ -426,9 +416,8 @@ int main(int argc, char** argv) {
   VODAK_CHECK(chain_map.ok());
   // A second carried column (the section reference a later operator
   // would consume): real optimized plans drag several references
-  // through their filter stack, and every one of them is a column the
-  // compacting baseline moves per predicate while the marking pipeline
-  // leaves all of them in place.
+  // through their filter stack, and the marking pipeline leaves every
+  // one of them in place until the drain boundary.
   auto chain_map2 =
       selvec_ctx.Map("s", parse_expr("p.section"), chain_map.value());
   VODAK_CHECK(chain_map2.ok());
@@ -446,20 +435,15 @@ int main(int argc, char** argv) {
       "map n := p.number; map s := p.section; "
       "select n >= 1; select n <= 2; select n >= 2";
 
-  // One timed drain of the chain under the given pipeline mode,
-  // including the drain-boundary Compact() (the batch representation's
-  // density boundary). Returns (ms, rows); the BatchCopyStats counters
-  // accumulate across the call.
-  exec::ExecContext selvec_exec = exec::ExecContext{
+  // One drain of the chain, including the drain-boundary Compact() (the
+  // batch representation's density boundary). Returns the rows; the
+  // BatchCopyStats counters accumulate across the call.
+  const exec::ExecContext selvec_exec = exec::ExecContext{
       &db.catalog(), &db.store(), &db.methods()};
-  exec::ExecContext compact_exec = selvec_exec;
-  compact_exec.filter_compacts = true;
-  auto run_chain =
-      [&](const exec::ExecContext& mode) -> std::pair<double, size_t> {
-    auto phys = exec::BuildPhysical(chain, mode);
+  auto run_chain = [&]() -> size_t {
+    auto phys = exec::BuildPhysical(chain, selvec_exec);
     VODAK_CHECK(phys.ok()) << phys.status().ToString();
     size_t rows = 0;
-    auto start = std::chrono::steady_clock::now();
     VODAK_CHECK(phys.value()->Open().ok());
     exec::RowBatch batch;
     for (;;) {
@@ -470,53 +454,27 @@ int main(int argc, char** argv) {
       rows += batch.num_rows();
     }
     phys.value()->Close();
-    return {MsSince(start), rows};
+    return rows;
   };
 
-  struct SelvecPoint {
-    double ms = 0.0;
-    size_t hits = 0;
-    uint64_t compact_moves = 0;  // values moved by compaction
-    uint64_t gather_copies = 0;  // values copied into selection gathers
-    uint64_t total() const { return compact_moves + gather_copies; }
-  };
-  auto measure_chain = [&](const exec::ExecContext& mode) {
-    SelvecPoint point;
-    // Counted warm drain: the move/copy counters are deterministic per
-    // drain, so one counted pass suffices.
-    BatchCopyStats::Reset();
-    point.hits = run_chain(mode).second;
-    point.compact_moves =
-        BatchCopyStats::compact_moves.load(std::memory_order_relaxed);
-    point.gather_copies =
-        BatchCopyStats::gather_copies.load(std::memory_order_relaxed);
-    for (int r = 0; r < reps; ++r) point.ms += run_chain(mode).first;
-    point.ms /= reps;
-    return point;
-  };
-  SelvecPoint marking = measure_chain(selvec_exec);
-  SelvecPoint compacting = measure_chain(compact_exec);
-  VODAK_CHECK(marking.hits == compacting.hits)
-      << "selection-chain cardinality mismatch: " << marking.hits
-      << " vs " << compacting.hits;
+  // Counted warm drain: the move/copy counters are deterministic per
+  // drain, so one counted pass suffices.
+  BatchCopyStats::Reset();
+  const size_t chain_hits = run_chain();
+  const uint64_t compact_moves =
+      BatchCopyStats::compact_moves.load(std::memory_order_relaxed);
+  const uint64_t gather_copies =
+      BatchCopyStats::gather_copies.load(std::memory_order_relaxed);
+  const uint64_t moves_total = compact_moves + gather_copies;
+  const double chain_ms = MedianMs(reps, [&] { run_chain(); });
   std::printf("\nselection chain over %zu paragraphs, %zu hits: %s\n",
-              num_paragraphs, marking.hits, chain_desc);
+              num_paragraphs, chain_hits, chain_desc);
   std::printf(
       "selection-vector pipeline:   %8.2f ms  %10llu value moves "
       "(%llu compact + %llu gather)\n",
-      marking.ms, static_cast<unsigned long long>(marking.total()),
-      static_cast<unsigned long long>(marking.compact_moves),
-      static_cast<unsigned long long>(marking.gather_copies));
-  std::printf(
-      "compacting baseline:         %8.2f ms  %10llu value moves "
-      "(%llu compact + %llu gather)\n",
-      compacting.ms, static_cast<unsigned long long>(compacting.total()),
-      static_cast<unsigned long long>(compacting.compact_moves),
-      static_cast<unsigned long long>(compacting.gather_copies));
-  std::printf("selvec_vs_compact_speedup: %.2fx, moves %llu -> %llu\n",
-              compacting.ms / marking.ms,
-              static_cast<unsigned long long>(compacting.total()),
-              static_cast<unsigned long long>(marking.total()));
+      chain_ms, static_cast<unsigned long long>(moves_total),
+      static_cast<unsigned long long>(compact_moves),
+      static_cast<unsigned long long>(gather_copies));
 
   if (!json_selvec_path.empty()) {
     std::FILE* f = std::fopen(json_selvec_path.c_str(), "w");
@@ -529,21 +487,15 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"workload\": \"%s\",\n", chain_desc);
     std::fprintf(f, "  \"docs\": %u,\n", docs);
     std::fprintf(f, "  \"paragraphs\": %zu,\n", num_paragraphs);
-    std::fprintf(f, "  \"hits\": %zu,\n", marking.hits);
+    std::fprintf(f, "  \"hits\": %zu,\n", chain_hits);
     std::fprintf(f, "  \"reps\": %d,\n", reps);
-    std::fprintf(f, "  \"selvec_ms\": %.3f,\n", marking.ms);
-    std::fprintf(f, "  \"compact_ms\": %.3f,\n", compacting.ms);
-    std::fprintf(f, "  \"selvec_vs_compact_speedup\": %.3f,\n",
-                 compacting.ms / marking.ms);
+    std::fprintf(f, "  \"selvec_ms\": %.3f,\n", chain_ms);
     std::fprintf(f, "  \"selvec_compact_moves\": %llu,\n",
-                 static_cast<unsigned long long>(marking.compact_moves));
+                 static_cast<unsigned long long>(compact_moves));
     std::fprintf(f, "  \"selvec_gather_copies\": %llu,\n",
-                 static_cast<unsigned long long>(marking.gather_copies));
-    std::fprintf(f, "  \"selvec_moves_total\": %llu,\n",
-                 static_cast<unsigned long long>(marking.total()));
-    std::fprintf(
-        f, "  \"compact_moves_total\": %llu\n",
-        static_cast<unsigned long long>(compacting.total()));
+                 static_cast<unsigned long long>(gather_copies));
+    std::fprintf(f, "  \"selvec_moves_total\": %llu\n",
+                 static_cast<unsigned long long>(moves_total));
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("json written to %s\n", json_selvec_path.c_str());

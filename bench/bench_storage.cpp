@@ -278,10 +278,8 @@ int main(int argc, char** argv) {
     auto seg_root = exec::BuildPhysical(plan, segment_ctx);
     auto ext_root = exec::BuildPhysical(plan, extent_ctx);
     VODAK_CHECK(seg_root.ok() && ext_root.ok());
-    auto seg = exec::ExecuteColumn(seg_root.value().get(), "p",
-                                   exec::ExecMode::kBatch);
-    auto ext = exec::ExecuteColumn(ext_root.value().get(), "p",
-                                   exec::ExecMode::kBatch);
+    auto seg = exec::ExecuteColumn(seg_root.value().get(), "p");
+    auto ext = exec::ExecuteColumn(ext_root.value().get(), "p");
     VODAK_CHECK(seg.ok() && ext.ok());
     const Value lo_oid = Value::OfOid(Oid(db.section_class_id(), qlo));
     const Value hi_oid = Value::OfOid(Oid(db.section_class_id(), qhi));

@@ -171,7 +171,7 @@ Status Database::ExecuteSingle(const QueryRequest& request,
   const size_t threads = exec::ResolveThreads(request.run.threads);
   auto start = std::chrono::steady_clock::now();
   exec::ParallelPlanStatePtr pstate;
-  if (request.run.batch && threads > 1) {
+  if (threads > 1) {
     // Probe for a parallelizable driving scan up front, so plans with
     // none (set ops on the driving path) reuse the already-built
     // serial tree instead of paying a second plan build in the driver.
@@ -197,12 +197,10 @@ Status Database::ExecuteSingle(const QueryRequest& request,
                                     result_ref, popts,
                                     std::move(pstate)));
   } else {
-    // Serial batch drains may lower the plan to the bytecode VM
-    // (exec/vm.h): the same ExecuteColumn drives either root, so the
-    // engine above cannot tell compiled from interpreted execution.
-    // Row mode stays on the tree — it is the independent oracle the VM
-    // is differentially tested against.
-    if (request.run.batch && request.run.vm != VmMode::kOff) {
+    // Serial drains may lower the plan to the bytecode VM (exec/vm.h):
+    // the same ExecuteColumn drives either root, so the engine above
+    // cannot tell compiled from interpreted execution.
+    if (request.run.vm != VmMode::kOff) {
       VODAK_ASSIGN_OR_RETURN(
           exec::VmChoice vm,
           exec::TryCompileVm(result->chosen_plan, exec_ctx,
@@ -212,9 +210,7 @@ Status Database::ExecuteSingle(const QueryRequest& request,
     }
     VODAK_ASSIGN_OR_RETURN(
         result->result,
-        exec::ExecuteColumn(root.get(), result_ref,
-                            request.run.batch ? exec::ExecMode::kBatch
-                                              : exec::ExecMode::kRow));
+        exec::ExecuteColumn(root.get(), result_ref));
   }
   stats->drain_ms = MsSince(start);
   result->execute_ms = stats->drain_ms;
@@ -373,7 +369,6 @@ std::vector<QueryOutcome> Database::Submit(
     query.result_ref = algebra::ResultRef(bound);
     query.cancel = request.cancel;
     query.deadline = request.deadline;
-    query.batch = request.run.batch;
     runnable.push_back(i);
     plans.push_back(std::move(query));
   }

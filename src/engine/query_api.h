@@ -36,8 +36,8 @@ struct PlanOptions {
 /// cost model pick VM vs operator tree (the production default); kOff
 /// pins the operator tree (the differential baseline); kForce compiles
 /// every *eligible* plan regardless of cost (the differential subject —
-/// ineligible shapes still fall back to the tree). Row-mode and
-/// parallel drains never use the VM.
+/// ineligible shapes still fall back to the tree). Parallel and
+/// shared-scan drains never use the VM.
 enum class VmMode { kAuto, kOff, kForce };
 
 /// One query's execution knobs. Batch-level knobs (lanes, shared
@@ -46,15 +46,11 @@ struct RunOptions {
   /// Execute the chosen plan; false stops after planning (used by
   /// optimizer-scaling benchmarks where execution would dominate).
   bool execute = true;
-  /// Drive the physical plan batch-at-a-time (the vectorized
-  /// pipeline); false falls back to the row-at-a-time Volcano path.
-  bool batch = true;
   /// Worker threads for *intra-query* morsel-driven parallelism when
   /// the query runs alone. 1 keeps the serial pipeline, 0 resolves to
-  /// the hardware concurrency (requires batch=true; ignored in row
-  /// mode, which exists as the independent oracle). Ignored for
-  /// multi-query Submit batches, where SubmitOptions::lanes sizes the
-  /// inter-query parallelism instead.
+  /// the hardware concurrency. Ignored for multi-query Submit batches,
+  /// where SubmitOptions::lanes sizes the inter-query parallelism
+  /// instead.
   size_t threads = 1;
   /// Upper bound on rows per morsel in the parallel path.
   size_t morsel_size = exec::kDefaultMorselSize;

@@ -1,7 +1,7 @@
 // Per-query cancellation and deadlines for the batch executor. A query
 // carries an optional CancellationToken plus a Deadline in its
 // ExecContext; the pipeline polls both at batch boundaries — ScanOp's
-// NextBatch/refill and the morsel drain loop — so a cancel lands within
+// NextBatch and the morsel drain loop — so a cancel lands within
 // ~one batch (~kDefaultBatchSize rows) of being requested, without any
 // per-row cost. Cancellation points are catalogued in
 // docs/ARCHITECTURE.md §"Query service & admission control".

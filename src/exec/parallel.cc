@@ -184,9 +184,7 @@ Result<std::vector<ConcurrentQueryOutcome>> ExecuteConcurrentOutcomes(
                              BuildPhysical(queries[q].plan, member_ctx));
       VODAK_ASSIGN_OR_RETURN(
           o.value,
-          ExecuteColumn(root.get(), queries[q].result_ref,
-                        queries[q].batch ? ExecMode::kBatch
-                                         : ExecMode::kRow));
+          ExecuteColumn(root.get(), queries[q].result_ref));
       return Status::OK();
     }();
     o.drain_ms = ms_since(drain_start);

@@ -28,21 +28,6 @@ int PhysOperator::RefIndex(const std::string& name) const {
   return -1;
 }
 
-Result<bool> PhysOperator::NextBatch(RowBatch* batch) {
-  // Every NextBatch entry — this adapter and the native overrides —
-  // counts one virtual batch hand-off, the per-operator cost the VM
-  // backend (exec/vm.h) fuses away; ci.sh --vm gates on the ratio.
-  VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
-  batch->Reset(refs_.size());
-  Row row;
-  while (batch->num_rows() < kDefaultBatchSize) {
-    VODAK_ASSIGN_OR_RETURN(bool more, Next(&row));
-    if (!more) break;
-    batch->AppendRow(row);
-  }
-  return batch->num_rows() > 0;
-}
-
 namespace {
 
 std::vector<std::string> RefsOf(const LogicalRef& node) {
@@ -50,12 +35,6 @@ std::vector<std::string> RefsOf(const LogicalRef& node) {
   refs.reserve(node->schema().size());
   for (const auto& [name, type] : node->schema()) refs.push_back(name);
   return refs;  // map order = sorted
-}
-
-Env EnvFromRow(const std::vector<std::string>& refs, const Row& row) {
-  Env env;
-  for (size_t i = 0; i < refs.size(); ++i) env[refs[i]] = row[i];
-  return env;
 }
 
 /// Batch environment over a batch's live rows: dense when the batch is
@@ -108,10 +87,10 @@ struct SharedJoinBuild {
 };
 
 /// Same sharing (and the same once-publication contract) for a
-/// nested-loop join's materialized inner side.
+/// nested-loop join's materialized inner side, held as one dense batch.
 struct SharedInnerRows {
   std::once_flag once;
-  std::vector<Row> rows;
+  RowBatch rows;
   Status status = Status::OK();
 };
 
@@ -469,26 +448,11 @@ class ScanOp : public PhysOperator {
         cancel_(ctx.cancel),
         deadline_(ctx.deadline) {}
 
-  Status Open() override {
-    row_pos_ = 0;
-    row_batch_.Reset(1);
-    return source_->Open();
-  }
-  Result<bool> Next(Row* row) override {
-    // The row path drains the source batch-wise through a private
-    // buffer; scan leaves have no per-row evaluation, so this is the
-    // same value stream the dedicated row cursors produced.
-    while (row_pos_ >= row_batch_.num_rows()) {
-      VODAK_RETURN_IF_ERROR(CheckQueryAlive(cancel_, deadline_));
-      VODAK_ASSIGN_OR_RETURN(bool more, source_->NextBatch(&row_batch_));
-      if (!more) return false;
-      row_pos_ = 0;
-    }
-    row->assign(1, row_batch_.column(0)[row_pos_++]);
-    ++rows_produced_;
-    return true;
-  }
+  Status Open() override { return source_->Open(); }
   Result<bool> NextBatch(RowBatch* batch) override {
+    // Every NextBatch counts one virtual batch hand-off, the
+    // per-operator cost the VM backend (exec/vm.h) fuses away; ci.sh
+    // --vm gates on the ratio.
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     // The executor's cancellation point: every pipeline drains through
     // its scan leaves (blocking join builds included), so one check per
@@ -498,10 +462,7 @@ class ScanOp : public PhysOperator {
     if (more) rows_produced_ += batch->num_rows();
     return more;
   }
-  void Close() override {
-    source_->Close();
-    row_batch_.Reset(0);
-  }
+  void Close() override { source_->Close(); }
   std::string name() const override { return source_->name(); }
   std::string params() const override {
     return refs_[0] + " IN " + source_->describe() + " " +
@@ -515,15 +476,12 @@ class ScanOp : public PhysOperator {
   BatchSourcePtr source_;
   const CancellationToken* cancel_;
   Deadline deadline_;
-  RowBatch row_batch_;
-  size_t row_pos_ = 0;
 };
 
 /// Physical select<condition>. Density contract (operator-contract
 /// table, docs/ARCHITECTURE.md §"Selection vectors"): accepts selected
 /// or dense batches, emits *selected* batches — survivors are marked in
-/// the selection vector, never moved. ExecContext::filter_compacts
-/// restores the compacting baseline for measurement.
+/// the selection vector, never moved.
 class Filter : public PhysOperator {
  public:
   Filter(const ExecContext& ctx, PhysOpPtr child, ExprRef cond)
@@ -531,23 +489,9 @@ class Filter : public PhysOperator {
         evaluator_(ctx.catalog, ctx.store, ctx.methods,
                    ctx.property_cache, ctx.snapshot_epoch),
         child_(std::move(child)),
-        cond_(std::move(cond)),
-        compacts_(ctx.filter_compacts) {}
+        cond_(std::move(cond)) {}
 
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row) override {
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-      if (!more) return false;
-      VODAK_ASSIGN_OR_RETURN(
-          bool keep,
-          evaluator_.EvalPredicate(cond_, EnvFromRow(refs_, *row)));
-      if (keep) {
-        ++rows_produced_;
-        return true;
-      }
-    }
-  }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     // refs_ == child refs, so the child's batch is filtered in place:
@@ -561,7 +505,6 @@ class Filter : public PhysOperator {
       VODAK_RETURN_IF_ERROR(
           evaluator_.EvalPredicateBatch(cond_, env, &keep_));
       size_t kept = batch->IntersectSelection(keep_);
-      if (compacts_) batch->Compact();
       if (kept > 0) {
         rows_produced_ += kept;
         return true;
@@ -579,11 +522,16 @@ class Filter : public PhysOperator {
   ExprEvaluator evaluator_;
   PhysOpPtr child_;
   ExprRef cond_;
-  bool compacts_;
   std::vector<char> keep_;
 };
 
-/// Nested-loop join with arbitrary condition (inner side materialized).
+/// Nested-loop join with arbitrary condition. Density contract
+/// (operator-contract table, docs/ARCHITECTURE.md §"Selection
+/// vectors"): the inner side is a density boundary — its batches are
+/// Compact()ed into one materialized batch at Open; the left side is
+/// walked through its selection view; cross pairs are built dense, at
+/// most kDefaultBatchSize per batch, and the join predicate marks the
+/// survivors, so output batches are *selected*.
 class NestedLoopJoin : public PhysOperator {
  public:
   NestedLoopJoin(const ExecContext& ctx, PhysOpPtr left, PhysOpPtr right,
@@ -596,7 +544,12 @@ class NestedLoopJoin : public PhysOperator {
         right_(std::move(right)),
         cond_(std::move(cond)),
         shared_(shared) {
-    BuildOutputMap();
+    for (const std::string& ref : refs_) {
+      int li = left_->RefIndex(ref);
+      int ri = right_->RefIndex(ref);
+      from_left_.push_back(li);
+      from_right_.push_back(li >= 0 ? -1 : ri);
+    }
   }
 
   Status Open() override {
@@ -608,42 +561,75 @@ class NestedLoopJoin : public PhysOperator {
         shared_->status = MaterializeInner(&shared_->rows);
       });
       VODAK_RETURN_IF_ERROR(shared_->status);
-      right_rows_ = &shared_->rows;
+      inner_ = &shared_->rows;
     } else {
-      own_rows_.clear();
       VODAK_RETURN_IF_ERROR(MaterializeInner(&own_rows_));
-      right_rows_ = &own_rows_;
+      inner_ = &own_rows_;
     }
-    right_pos_ = 0;
-    left_valid_ = false;
+    left_batch_.Reset(0);
+    left_pos_ = 0;
+    inner_pos_ = 0;
+    left_done_ = false;
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
+  Result<bool> NextBatch(RowBatch* batch) override {
+    VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
+    const size_t inner_rows = inner_->num_rows();
     for (;;) {
-      if (!left_valid_) {
-        VODAK_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-        if (!more) return false;
-        left_valid_ = true;
-        right_pos_ = 0;
-      }
-      while (right_pos_ < right_rows_->size()) {
-        const Row& right_row = (*right_rows_)[right_pos_++];
-        Merge(left_row_, right_row, row);
-        VODAK_ASSIGN_OR_RETURN(
-            bool keep,
-            evaluator_.EvalPredicate(cond_, EnvFromRow(refs_, *row)));
-        if (keep) {
-          ++rows_produced_;
-          return true;
+      batch->Reset(refs_.size());
+      size_t out_rows = 0;
+      // Cross pairs in (left row, inner index) order, resuming where the
+      // previous call stopped.
+      while (out_rows < kDefaultBatchSize) {
+        if (left_pos_ >= left_batch_.active_rows()) {
+          if (left_done_) break;
+          VODAK_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
+          if (!more) {
+            left_done_ = true;
+            break;
+          }
+          left_pos_ = 0;
+          inner_pos_ = 0;
+          continue;
+        }
+        const size_t r = left_batch_.RowAt(left_pos_);
+        const size_t take =
+            std::min(inner_rows - inner_pos_, kDefaultBatchSize - out_rows);
+        for (size_t c = 0; c < refs_.size(); ++c) {
+          std::vector<Value>& col = batch->column(c);
+          if (from_left_[c] >= 0) {
+            col.insert(col.end(), take,
+                       left_batch_.column(from_left_[c])[r]);
+          } else {
+            const auto src = inner_->column(from_right_[c]).begin() +
+                             static_cast<std::ptrdiff_t>(inner_pos_);
+            col.insert(col.end(), src,
+                       src + static_cast<std::ptrdiff_t>(take));
+          }
+        }
+        out_rows += take;
+        inner_pos_ += take;
+        if (inner_pos_ >= inner_rows) {
+          ++left_pos_;
+          inner_pos_ = 0;
         }
       }
-      left_valid_ = false;
+      if (out_rows == 0) return false;
+      batch->set_num_rows(out_rows);
+      BatchEnv env = EnvOfBatch(refs_, *batch);
+      VODAK_RETURN_IF_ERROR(
+          evaluator_.EvalPredicateBatch(cond_, env, &keep_));
+      const size_t kept = batch->IntersectSelection(keep_);
+      if (kept > 0) {
+        rows_produced_ += kept;
+        return true;
+      }
     }
   }
   void Close() override {
     left_->Close();
-    own_rows_.clear();
+    own_rows_.Reset(0);
   }
   std::string name() const override { return "NestedLoopJoin"; }
   std::string params() const override { return cond_->ToString(); }
@@ -652,29 +638,22 @@ class NestedLoopJoin : public PhysOperator {
   }
 
  private:
-  void BuildOutputMap() {
-    for (const std::string& ref : refs_) {
-      int li = left_->RefIndex(ref);
-      int ri = right_->RefIndex(ref);
-      from_left_.push_back(li);
-      from_right_.push_back(li >= 0 ? -1 : ri);
-    }
-  }
-  void Merge(const Row& left, const Row& right, Row* out) const {
-    out->resize(refs_.size());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      (*out)[i] = from_left_[i] >= 0 ? left[from_left_[i]]
-                                     : right[from_right_[i]];
-    }
-  }
-
-  Status MaterializeInner(std::vector<Row>* out) {
+  /// Drains the inner subtree into one dense batch.
+  Status MaterializeInner(RowBatch* out) {
     VODAK_RETURN_IF_ERROR(right_->Open());
-    Row row;
+    out->Reset(right_->refs().size());
+    RowBatch part;
     for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
+      VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&part));
       if (!more) break;
-      out->push_back(row);
+      part.Compact();
+      for (size_t c = 0; c < part.num_columns(); ++c) {
+        std::vector<Value>& src = part.column(c);
+        out->column(c).insert(out->column(c).end(),
+                              std::make_move_iterator(src.begin()),
+                              std::make_move_iterator(src.end()));
+      }
+      out->set_num_rows(out->num_rows() + part.num_rows());
     }
     right_->Close();
     return Status::OK();
@@ -685,13 +664,15 @@ class NestedLoopJoin : public PhysOperator {
   PhysOpPtr right_;
   ExprRef cond_;
   SharedInnerRows* shared_;
-  std::vector<Row> own_rows_;
-  const std::vector<Row>* right_rows_ = nullptr;
-  size_t right_pos_ = 0;
-  Row left_row_;
-  bool left_valid_ = false;
+  RowBatch own_rows_;
+  const RowBatch* inner_ = nullptr;
+  RowBatch left_batch_;
+  size_t left_pos_ = 0;   // active-row index into left_batch_
+  size_t inner_pos_ = 0;  // next inner row to pair with it
+  bool left_done_ = false;
   std::vector<int> from_left_;
   std::vector<int> from_right_;
+  std::vector<char> keep_;
 };
 
 /// Hash join on key references; implements natural_join (keys = shared
@@ -732,98 +713,55 @@ class HashJoin : public PhysOperator {
     own_table_.clear();
     table_ = nullptr;
     built_ = false;
-    VODAK_RETURN_IF_ERROR(left_->Open());
-    left_valid_ = false;
-    bucket_ = nullptr;
-    return Status::OK();
+    return left_->Open();
   }
 
-  /// Drains the build (right) side into `out` in the requested pipeline
-  /// mode, so a row-mode drain stays purely row-at-a-time and a
-  /// batch-mode drain builds batch-at-a-time.
-  Status BuildInto(JoinTable* out, bool batch_mode) {
+  /// Drains the build (right) side into `out`.
+  Status BuildInto(JoinTable* out) {
     VODAK_RETURN_IF_ERROR(right_->Open());
     Row row;
     Row key;
-    auto insert = [&]() {
-      key.clear();
-      key.reserve(right_key_idx_.size());
-      for (int i : right_key_idx_) key.push_back(row[i]);
-      (*out)[key].push_back(row);
-    };
-    if (batch_mode) {
-      RowBatch build;
-      for (;;) {
-        VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&build));
-        if (!more) break;
-        // Density boundary: rows leave the batch representation for the
-        // table, so the selected rows are gathered dense once here.
-        build.Compact();
-        for (size_t r = 0; r < build.num_rows(); ++r) {
-          build.CopyRowTo(r, &row);
-          insert();
-        }
-      }
-    } else {
-      for (;;) {
-        VODAK_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
-        if (!more) break;
-        insert();
+    RowBatch build;
+    for (;;) {
+      VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&build));
+      if (!more) break;
+      // Density boundary: rows leave the batch representation for the
+      // table, so the selected rows are gathered dense once here.
+      build.Compact();
+      for (size_t r = 0; r < build.num_rows(); ++r) {
+        build.CopyRowTo(r, &row);
+        key.clear();
+        key.reserve(right_key_idx_.size());
+        for (int i : right_key_idx_) key.push_back(row[i]);
+        (*out)[key].push_back(row);
       }
     }
     right_->Close();
     return Status::OK();
   }
 
-  /// Deferred build on the first Next/NextBatch call. With a shared
-  /// build, the call_once winner builds the table once from its own
+  /// Deferred build on the first NextBatch call. With a shared build,
+  /// the call_once winner builds the table once from its own
   /// (deterministic) build subtree and every worker probes it
   /// read-only thereafter.
-  Status BuildTable(bool batch_mode) {
+  Status BuildTable() {
     if (shared_ != nullptr) {
       std::call_once(shared_->once, [&] {
-        shared_->status = BuildInto(&shared_->table, batch_mode);
+        shared_->status = BuildInto(&shared_->table);
       });
       VODAK_RETURN_IF_ERROR(shared_->status);
       table_ = &shared_->table;
     } else {
-      VODAK_RETURN_IF_ERROR(BuildInto(&own_table_, batch_mode));
+      VODAK_RETURN_IF_ERROR(BuildInto(&own_table_));
       table_ = &own_table_;
     }
     built_ = true;
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
-    if (!built_) VODAK_RETURN_IF_ERROR(BuildTable(/*batch_mode=*/false));
-    for (;;) {
-      if (!left_valid_) {
-        VODAK_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-        if (!more) return false;
-        left_valid_ = true;
-        Row key;
-        key.reserve(left_key_idx_.size());
-        for (int i : left_key_idx_) key.push_back(left_row_[i]);
-        auto it = table_->find(key);
-        bucket_ = it == table_->end() ? nullptr : &it->second;
-        bucket_pos_ = 0;
-      }
-      if (bucket_ != nullptr && bucket_pos_ < bucket_->size()) {
-        const Row& right_row = (*bucket_)[bucket_pos_++];
-        row->resize(refs_.size());
-        for (size_t i = 0; i < refs_.size(); ++i) {
-          (*row)[i] = from_left_[i] >= 0 ? left_row_[from_left_[i]]
-                                         : right_row[from_right_[i]];
-        }
-        ++rows_produced_;
-        return true;
-      }
-      left_valid_ = false;
-    }
-  }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
-    if (!built_) VODAK_RETURN_IF_ERROR(BuildTable(/*batch_mode=*/true));
+    if (!built_) VODAK_RETURN_IF_ERROR(BuildTable());
     Row key;
     for (;;) {
       VODAK_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&probe_batch_));
@@ -884,11 +822,7 @@ class HashJoin : public PhysOperator {
   SharedJoinBuild* shared_;
   JoinTable own_table_;
   const JoinTable* table_ = nullptr;
-  Row left_row_;
-  bool left_valid_ = false;
   bool built_ = false;
-  const std::vector<Row>* bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
   RowBatch probe_batch_;
   std::vector<int> from_left_;
   std::vector<int> from_right_;
@@ -918,22 +852,6 @@ class MapOp : public PhysOperator {
   }
 
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row) override {
-    Row child_row;
-    VODAK_ASSIGN_OR_RETURN(bool more, child_->Next(&child_row));
-    if (!more) return false;
-    VODAK_ASSIGN_OR_RETURN(
-        Value v, evaluator_.Eval(
-                     expr_, EnvFromRow(child_->refs(), child_row)));
-    row->resize(refs_.size());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      (*row)[i] = child_index_[i] >= 0 ? child_row[child_index_[i]]
-                                       : Value::Null();
-    }
-    (*row)[out_index_] = std::move(v);
-    ++rows_produced_;
-    return true;
-  }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     VODAK_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&child_batch_));
@@ -1012,39 +930,7 @@ class FlatOp : public PhysOperator {
     }
   }
 
-  Status Open() override {
-    elem_pos_ = 0;
-    elements_.clear();
-    return child_->Open();
-  }
-  Result<bool> Next(Row* row) override {
-    for (;;) {
-      if (elem_pos_ < elements_.size()) {
-        row->resize(refs_.size());
-        for (size_t i = 0; i < refs_.size(); ++i) {
-          (*row)[i] = child_index_[i] >= 0 ? child_row_[child_index_[i]]
-                                           : Value::Null();
-        }
-        (*row)[out_index_] = elements_[elem_pos_++];
-        ++rows_produced_;
-        return true;
-      }
-      VODAK_ASSIGN_OR_RETURN(bool more, child_->Next(&child_row_));
-      if (!more) return false;
-      VODAK_ASSIGN_OR_RETURN(
-          Value set, evaluator_.Eval(
-                         expr_, EnvFromRow(child_->refs(), child_row_)));
-      if (set.is_null()) {
-        elements_.clear();
-      } else if (set.is_set()) {
-        elements_ = set.AsSet();
-      } else {
-        return Status::ExecError("flat expression evaluated to non-set " +
-                                 set.ToString());
-      }
-      elem_pos_ = 0;
-    }
-  }
+  Status Open() override { return child_->Open(); }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
@@ -1102,9 +988,6 @@ class FlatOp : public PhysOperator {
   ExprRef expr_;
   int out_index_ = -1;
   std::vector<int> child_index_;
-  Row child_row_;
-  ValueSet elements_;
-  size_t elem_pos_ = 0;
   RowBatch child_batch_;
 };
 
@@ -1131,21 +1014,6 @@ class ProjectOp : public PhysOperator {
   Status Open() override {
     seen_.clear();
     return child_->Open();
-  }
-  Result<bool> Next(Row* row) override {
-    Row child_row;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, child_->Next(&child_row));
-      if (!more) return false;
-      row->resize(refs_.size());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        (*row)[i] = child_row[child_index_[i]];
-      }
-      if (!distinct_key_.empty() || seen_.insert(*row).second) {
-        ++rows_produced_;
-        return true;
-      }
-    }
   }
   Result<bool> NextBatch(RowBatch* batch) override {
     VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
@@ -1207,7 +1075,11 @@ class ProjectOp : public PhysOperator {
   RowBatch child_batch_;
 };
 
-/// union / diff with set semantics (right side materialized).
+/// union / diff with set semantics. Density contract (operator-contract
+/// table, docs/ARCHITECTURE.md §"Selection vectors"): the right side is
+/// materialized into a row set at Open (a density boundary); the left
+/// side is walked through its selection view; output batches — the
+/// left's survivors, then the union's right-only tail — are dense.
 class SetOp : public PhysOperator {
  public:
   SetOp(PhysOpPtr left, PhysOpPtr right, bool is_union,
@@ -1226,15 +1098,13 @@ class SetOp : public PhysOperator {
     right_set_.clear();
     emitted_.clear();
     VODAK_RETURN_IF_ERROR(right_->Open());
-    Row row;
+    RowBatch part;
     for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
+      VODAK_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&part));
       if (!more) break;
-      Row aligned(refs_.size());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        aligned[i] = row[right_index_[i]];
+      for (size_t i = 0; i < part.active_rows(); ++i) {
+        right_set_.insert(Aligned(part, part.RowAt(i), right_index_));
       }
-      right_set_.insert(std::move(aligned));
     }
     right_->Close();
     right_it_ = right_set_.begin();
@@ -1242,36 +1112,35 @@ class SetOp : public PhysOperator {
     return left_->Open();
   }
 
-  Result<bool> Next(Row* row) override {
+  Result<bool> NextBatch(RowBatch* batch) override {
+    VmStats::operator_handoffs.fetch_add(1, std::memory_order_relaxed);
+    batch->Reset(refs_.size());
     while (!left_done_) {
-      Row child_row;
-      VODAK_ASSIGN_OR_RETURN(bool more, left_->Next(&child_row));
+      VODAK_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
       if (!more) {
         left_done_ = true;
         break;
       }
-      row->resize(refs_.size());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        (*row)[i] = child_row[left_index_[i]];
+      for (size_t i = 0; i < left_batch_.active_rows(); ++i) {
+        Row row = Aligned(left_batch_, left_batch_.RowAt(i), left_index_);
+        if (!is_union_ && right_set_.count(row) > 0) continue;
+        auto [it, fresh] = emitted_.insert(std::move(row));
+        if (fresh) batch->AppendRow(*it);
       }
-      bool in_right = right_set_.count(*row) > 0;
-      if (is_union_ || !in_right) {
-        if (emitted_.insert(*row).second) {
-          ++rows_produced_;
-          return true;
-        }
+      if (!batch->empty()) {
+        rows_produced_ += batch->num_rows();
+        return true;
       }
     }
     if (is_union_) {
-      while (right_it_ != right_set_.end()) {
-        *row = *right_it_++;
-        if (emitted_.insert(*row).second) {
-          ++rows_produced_;
-          return true;
-        }
+      while (right_it_ != right_set_.end() &&
+             batch->num_rows() < kDefaultBatchSize) {
+        const Row& row = *right_it_++;
+        if (emitted_.insert(row).second) batch->AppendRow(row);
       }
     }
-    return false;
+    rows_produced_ += batch->num_rows();
+    return !batch->empty();
   }
   void Close() override {
     left_->Close();
@@ -1286,6 +1155,16 @@ class SetOp : public PhysOperator {
   }
 
  private:
+  /// Physical row `r` of `batch` in this operator's reference order.
+  Row Aligned(const RowBatch& batch, size_t r,
+              const std::vector<int>& index) const {
+    Row row(refs_.size());
+    for (size_t c = 0; c < refs_.size(); ++c) {
+      row[c] = batch.column(index[c])[r];
+    }
+    return row;
+  }
+
   PhysOpPtr left_;
   PhysOpPtr right_;
   bool is_union_;
@@ -1294,6 +1173,7 @@ class SetOp : public PhysOperator {
   std::unordered_set<Row, RowHash, RowEq> right_set_;
   std::unordered_set<Row, RowHash, RowEq> emitted_;
   std::unordered_set<Row, RowHash, RowEq>::iterator right_it_;
+  RowBatch left_batch_;
   bool left_done_ = false;
 };
 
@@ -1714,38 +1594,24 @@ Result<ParallelPlanStatePtr> PrepareParallelPlan(const LogicalRef& plan,
   return state;
 }
 
-Result<Value> ExecuteToSet(PhysOperator* root, ExecMode mode) {
+Result<Value> ExecuteToSet(PhysOperator* root) {
   VODAK_RETURN_IF_ERROR(root->Open());
   std::vector<Value> tuples;
   const std::vector<std::string>& refs = root->refs();
-  if (mode == ExecMode::kRow) {
-    Row row;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, root->Next(&row));
-      if (!more) break;
+  RowBatch batch;
+  for (;;) {
+    VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
+    if (!more) break;
+    // Final set emit is a density boundary: every column crosses into
+    // the tuple representation, so the selected rows compact once.
+    batch.Compact();
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
       ValueTuple fields;
       fields.reserve(refs.size());
-      for (size_t i = 0; i < refs.size(); ++i) {
-        fields.emplace_back(refs[i], row[i]);
+      for (size_t c = 0; c < refs.size(); ++c) {
+        fields.emplace_back(refs[c], batch.column(c)[r]);
       }
       tuples.push_back(Value::Tuple(std::move(fields)));
-    }
-  } else {
-    RowBatch batch;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
-      if (!more) break;
-      // Final set emit is a density boundary: every column crosses into
-      // the tuple representation, so the selected rows compact once.
-      batch.Compact();
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        ValueTuple fields;
-        fields.reserve(refs.size());
-        for (size_t c = 0; c < refs.size(); ++c) {
-          fields.emplace_back(refs[c], batch.column(c)[r]);
-        }
-        tuples.push_back(Value::Tuple(std::move(fields)));
-      }
     }
   }
   root->Close();
@@ -1753,7 +1619,7 @@ Result<Value> ExecuteToSet(PhysOperator* root, ExecMode mode) {
 }
 
 Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref,
-                            ExecMode mode) {
+                            ExecMode /*mode*/) {
   int index = root->RefIndex(ref);
   if (index < 0) {
     return Status::PlanError("result reference '" + ref +
@@ -1761,24 +1627,15 @@ Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref,
   }
   VODAK_RETURN_IF_ERROR(root->Open());
   std::vector<Value> values;
-  if (mode == ExecMode::kRow) {
-    Row row;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, root->Next(&row));
-      if (!more) break;
-      values.push_back(row[index]);
-    }
-  } else {
-    RowBatch batch;
-    for (;;) {
-      VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
-      if (!more) break;
-      // Single-column extraction reads through the selection view — no
-      // reason to compact every column to consume one.
-      auto& col = batch.column(index);
-      for (size_t i = 0; i < batch.active_rows(); ++i) {
-        values.push_back(std::move(col[batch.RowAt(i)]));
-      }
+  RowBatch batch;
+  for (;;) {
+    VODAK_ASSIGN_OR_RETURN(bool more, root->NextBatch(&batch));
+    if (!more) break;
+    // Single-column extraction reads through the selection view — no
+    // reason to compact every column to consume one.
+    auto& col = batch.column(index);
+    for (size_t i = 0; i < batch.active_rows(); ++i) {
+      values.push_back(std::move(col[batch.RowAt(i)]));
     }
   }
   root->Close();

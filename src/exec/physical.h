@@ -1,12 +1,11 @@
-// Physical operators: the batch-at-a-time (NextBatch) pipeline with
-// the row-at-a-time Volcano path kept as the semantic oracle. The
-// operator-by-operator batch behavior, the batch/row drain exclusivity
-// rule and the parallel worker-clone machinery are documented in
-// docs/ARCHITECTURE.md §"The NextBatch pipeline" and §"Morsel-driven
-// parallelism". Each operator's density contract — whether it accepts
-// and emits selected or compacted batches — is the operator-contract
-// table in docs/ARCHITECTURE.md §"Selection vectors"; the per-operator
-// comments in physical.cc name their row.
+// Physical operators: the batch-at-a-time (NextBatch) pipeline. The
+// operator-by-operator batch behavior and the parallel worker-clone
+// machinery are documented in docs/ARCHITECTURE.md §"The NextBatch
+// pipeline" and §"Morsel-driven parallelism". Each operator's density
+// contract — whether it accepts and emits selected or compacted
+// batches — is the operator-contract table in docs/ARCHITECTURE.md
+// §"Selection vectors"; the per-operator comments in physical.cc name
+// their row.
 #ifndef VODAK_EXEC_PHYSICAL_H_
 #define VODAK_EXEC_PHYSICAL_H_
 
@@ -28,14 +27,11 @@ namespace exec {
 
 class SharedScanManager;
 
-/// The paper's physical algebra, grown from the classic Volcano
-/// open/next/close iterator into a batch-at-a-time pipeline: NextBatch
-/// moves ~kDefaultBatchSize rows per virtual call and evaluates operator
-/// parameters through the batched expression entry points, while Next
-/// remains as the row-at-a-time compatibility path. Every operator
-/// carries its output reference list and basic runtime counters for the
-/// benchmark harness. Within one Open()..Close() cycle a plan must be
-/// drained through either Next or NextBatch, not a mix of both.
+/// The paper's physical algebra as a batch-at-a-time pipeline:
+/// NextBatch moves ~kDefaultBatchSize rows per virtual call and
+/// evaluates operator parameters through the batched expression entry
+/// points. Every operator carries its output reference list and basic
+/// runtime counters for the benchmark harness.
 class PhysOperator {
  public:
   explicit PhysOperator(std::vector<std::string> refs)
@@ -43,16 +39,13 @@ class PhysOperator {
   virtual ~PhysOperator() = default;
 
   virtual Status Open() = 0;
-  /// Produces the next row; returns false at end of stream.
-  virtual Result<bool> Next(Row* row) = 0;
   /// Produces the next batch of rows; returns false at end of stream. A
   /// true return means the batch holds at least one *live* row — the
   /// batch may carry a selection vector (filters mark survivors instead
   /// of moving values), so consumers iterate active_rows()/RowAt() or
-  /// Compact() at a density boundary. The default adapter loops Next()
-  /// (always dense); hot operators override it with native
-  /// column-at-a-time implementations.
-  virtual Result<bool> NextBatch(RowBatch* batch);
+  /// Compact() at a density boundary. Every implementation counts one
+  /// VmStats::operator_handoffs per call.
+  virtual Result<bool> NextBatch(RowBatch* batch) = 0;
   virtual void Close() = 0;
 
   const std::vector<std::string>& refs() const { return refs_; }
@@ -111,12 +104,6 @@ struct ExecContext {
   const Catalog* catalog = nullptr;
   ObjectStore* store = nullptr;
   MethodRegistry* methods = nullptr;
-  /// When true, Filter::NextBatch physically compacts surviving rows
-  /// after every predicate (the pre-selection-vector behavior). Kept as
-  /// the measurable baseline for bench_batch_exec's selection-chain
-  /// section and the selection tests; production paths leave it false
-  /// and filter by marking the batch's selection vector instead.
-  bool filter_compacts = false;
   /// Cross-query shared-scan attachment point. When set, every scan
   /// leaf (extent and method scan) attaches to this manager's shared
   /// cursors instead of opening a private one, so the K queries of a
@@ -131,7 +118,7 @@ struct ExecContext {
   PropertyColumnCache* property_cache = nullptr;
   /// This query's cancel flag (null: not cancellable) and deadline
   /// (default: none). Polled at batch boundaries — every scan leaf's
-  /// NextBatch/refill — so a cancel or an expired deadline surfaces as
+  /// NextBatch — so a cancel or an expired deadline surfaces as
   /// kCancelled / kDeadlineExceeded within ~one batch. Worker clones
   /// copy the context, so all lanes of one query observe the same flag.
   const CancellationToken* cancel = nullptr;
@@ -193,13 +180,12 @@ Result<BatchSourcePtr> MakeLeafBatchSource(
     const algebra::LogicalNode& leaf, const ExecContext& ctx,
     const std::vector<storage::SlotPredicate>* preds);
 
-/// How a plan is drained: batch-at-a-time (default) or the
-/// row-at-a-time compatibility path.
-enum class ExecMode { kRow, kBatch };
+/// Plans drain batch-at-a-time only; the enum and ExecuteColumn's
+/// defaulted parameter stay for perfbench, which spells ExecMode::kBatch.
+enum class ExecMode { kBatch };
 
 /// Drains the operator tree into a set of tuples (the algebra's result).
-Result<Value> ExecuteToSet(PhysOperator* root,
-                           ExecMode mode = ExecMode::kBatch);
+Result<Value> ExecuteToSet(PhysOperator* root);
 
 /// Drains the tree and projects one reference, returning a value set.
 Result<Value> ExecuteColumn(PhysOperator* root, const std::string& ref,

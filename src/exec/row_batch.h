@@ -37,7 +37,8 @@ constexpr size_t kDefaultBatchSize = 1024;
 /// indices into the column storage. Filters mark survivors in the
 /// selection instead of moving column values; consumers iterate the
 /// live rows through active_rows()/RowAt() and call Compact() only at
-/// density boundaries (hash-join build, row hand-off, final set emit).
+/// density boundaries (join build and inner sides, the parallel
+/// drivers' row hand-off, final set emit).
 class RowBatch {
  public:
   RowBatch() = default;
@@ -159,10 +160,9 @@ class RowBatch {
 
   /// Gathers the selected rows into dense column storage and drops the
   /// selection. The single explicit densification of the pipeline —
-  /// applied only where every column must become row-addressable
-  /// (hash-join build, the drivers' row hand-off, final set emit).
-  /// No-op on a dense batch. Value moves are counted into
-  /// BatchCopyStats::compact_moves.
+  /// applied only where every column must become row-addressable (the
+  /// boundaries listed in the class comment). No-op on a dense batch.
+  /// Value moves are counted into BatchCopyStats::compact_moves.
   void Compact() {
     if (!has_sel_) return;
     uint64_t moves = 0;
@@ -180,18 +180,6 @@ class RowBatch {
       BatchCopyStats::compact_moves.fetch_add(moves,
                                               std::memory_order_relaxed);
     }
-  }
-
-  /// Keeps exactly the live rows with keep[i] != 0 and densifies,
-  /// preserving order; returns the surviving row count. Equivalent to
-  /// IntersectSelection(keep) + Compact() — the compacting-filter
-  /// baseline the selection-vector pipeline replaces (kept for the
-  /// measurable baseline mode and the interpreter's oracle-adjacent
-  /// paths).
-  size_t CompactRows(const std::vector<char>& keep) {
-    IntersectSelection(keep);
-    Compact();
-    return num_rows_;
   }
 
  private:

@@ -130,15 +130,12 @@ VmExec::VmExec(const ExecContext& ctx, VmProgram program,
 Status VmExec::Open() {
   seen_.clear();
   arena_.ResetForQuery();
-  row_buf_.Reset(0);
-  row_pos_ = 0;
   return source_->Open();
 }
 
 void VmExec::Close() {
   source_->Close();
   seen_.clear();
-  row_buf_.Reset(0);
 }
 
 BatchEnv VmExec::RegEnv() const {
@@ -300,20 +297,6 @@ Result<bool> VmExec::NextBatch(RowBatch* batch) {
     rows_produced_ += emitted;
     return true;
   }
-}
-
-Result<bool> VmExec::Next(Row* row) {
-  // Row-mode shim (the engine only drives the VM batch-wise; this
-  // keeps the PhysOperator contract whole): drain own batches through
-  // a private compacted buffer.
-  while (row_pos_ >= row_buf_.num_rows()) {
-    VODAK_ASSIGN_OR_RETURN(bool more, NextBatch(&row_buf_));
-    if (!more) return false;
-    row_buf_.Compact();
-    row_pos_ = 0;
-  }
-  row_buf_.CopyRowTo(row_pos_++, row);
-  return true;
 }
 
 }  // namespace exec

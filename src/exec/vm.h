@@ -192,7 +192,6 @@ class VmExec final : public PhysOperator {
          BatchSourcePtr source);
 
   Status Open() override;
-  Result<bool> Next(Row* row) override;
   Result<bool> NextBatch(RowBatch* batch) override;
   void Close() override;
   std::string name() const override { return "VmExec"; }
@@ -234,9 +233,6 @@ class VmExec final : public PhysOperator {
   /// Open..Close drain).
   std::unordered_set<Row, RowHash, RowEq> seen_;
   Row projected_;
-  /// Row-mode shim: drains own NextBatch through a private buffer.
-  RowBatch row_buf_;
-  size_t row_pos_ = 0;
 };
 
 /// The compiler's verdict on one plan. `op` is null when the operator

@@ -268,7 +268,7 @@ double CostModel::EstimateCardinality(
 double CostModel::LocalCost(const LogicalNode& node,
                             const std::vector<double>& child_cards) const {
   // Batch-aware operator pricing: per-row emit work priced by how the
-  // batched operator emits (mark / scatter / dense build / row path),
+  // batched operator emits (mark / scatter / dense build / row set),
   // plus kBatchOverheadCost per NextBatch call the operator makes over
   // its input (BatchCount of the consumed rows). See the class comment
   // and docs/ARCHITECTURE.md §"Cost model".
@@ -289,9 +289,7 @@ double CostModel::LocalCost(const LogicalNode& node,
     case LogicalOp::kSelect:
       // The production filter *marks* survivors (selection vector):
       // predicate evaluation per input row, a mark per surviving row,
-      // no value moves. (The compacting baseline would pay
-      // kCompactMoveCost per survivor per filter instead — priced out,
-      // which is exactly why marking is the default.)
+      // no value moves.
       return child_cards[0] * ExprCost(node.expr()) +
              child_cards[0] * Selectivity(node.expr()) * kMarkCostPerRow +
              kBatchOverheadCost * BatchCount(child_cards[0]);
@@ -312,7 +310,7 @@ double CostModel::LocalCost(const LogicalNode& node,
                kBatchOverheadCost *
                    (BatchCount(child_cards[0]) + BatchCount(child_cards[1]));
       }
-      // Nested loop stays on the row path: per-pair pricing.
+      // Nested loop builds and tests every cross pair: per-pair pricing.
       double per_pair = cond->kind() == ExprKind::kConst
                             ? kOpCost
                             : ExprCost(cond) + kOpCost;
@@ -325,7 +323,7 @@ double CostModel::LocalCost(const LogicalNode& node,
                  (BatchCount(child_cards[0]) + BatchCount(child_cards[1]));
     case LogicalOp::kUnion:
     case LogicalOp::kDiff:
-      // Row-path operators (default batch adapter): per-row pricing.
+      // Every input row is hashed into a row set: per-row pricing.
       return 1.2 * (child_cards[0] + child_cards[1]);
     case LogicalOp::kMap:
       // Scatter of the computed column + wholesale pass-through moves.

@@ -55,13 +55,12 @@ using MethodStatsProvider = std::function<std::optional<MethodStats>(
 /// per NextBatch call it makes, i.e. per ceil(rows / kAssumedBatchRows)
 /// — plus per-row emit work priced by *how* the batched operator
 /// actually emits. A Filter marks survivors in the selection vector
-/// (kMarkCostPerRow, far below a tuple emit; the compacting baseline
-/// behind ExecContext::filter_compacts would instead pay
-/// kCompactMoveCost per surviving row per filter — why it is the
-/// baseline, not the production path). A hash-join build crosses a
-/// density boundary, so its build rows pay one kCompactMoveCost on top
-/// of the hash insert. Row-path operators (nested-loop join, set ops)
-/// keep plain per-row pricing.
+/// (kMarkCostPerRow, far below a tuple emit; a filter that compacted
+/// would instead pay kCompactMoveCost per surviving row). A hash-join
+/// build crosses a density boundary, so its build rows pay one
+/// kCompactMoveCost on top of the hash insert. Nested-loop joins are
+/// priced per cross pair (every pair is built and tested) and set ops
+/// per input row (every row is hashed into a row set).
 class CostModel {
  public:
   /// Rows the executor's NextBatch pipeline typically moves per batch
@@ -75,8 +74,7 @@ class CostModel {
   /// production filter's per-row emit: no value moves).
   static constexpr double kMarkCostPerRow = 0.02;
   /// Moving one row's values across a density boundary (Compact() at
-  /// the hash-join build / row hand-off; also what the compacting
-  /// filter baseline pays per surviving row per filter).
+  /// the hash-join build / row hand-off).
   static constexpr double kCompactMoveCost = 0.5;
 
   /// NextBatch calls needed for `rows` output rows: ceil(rows /

@@ -276,8 +276,7 @@ QueryReply GenerationScheduler::ExecuteMember(
     VODAK_ASSIGN_OR_RETURN(exec::PhysOpPtr root,
                            exec::BuildPhysical(query.plan, ctx));
     VODAK_ASSIGN_OR_RETURN(
-        reply.result, exec::ExecuteColumn(root.get(), query.result_ref,
-                                          exec::ExecMode::kBatch));
+        reply.result, exec::ExecuteColumn(root.get(), query.result_ref));
     return Status::OK();
   }();
   reply.stats.drain_ms = MsSince(drain_start);

@@ -1,11 +1,11 @@
 // Morsel-driven parallel execution: every parallelizable plan must
 // produce, at threads ∈ {1, 2, 4, 8}, the same row multiset as the
-// serial row-at-a-time drain (the independent oracle the batch pipeline
-// is checked against), and the same value set as the naive interpreter
-// running in row mode (which shares no batched-evaluation code with the
-// executor at all). Plus unit tests for the worker pool and the morsel
-// source, and the morsel boundary edge cases: empty extent, extent
-// smaller than one morsel, morsel size 1.
+// serial batch drain, whose set the naive logical evaluator confirms,
+// and the same value set as the naive interpreter running in row mode
+// (which shares no batched-evaluation code with the executor at all).
+// Plus unit tests for the worker pool and the morsel source, and the
+// morsel boundary edge cases: empty extent, extent smaller than one
+// morsel, morsel size 1.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/eval.h"
 #include "algebra/translate.h"
 #include "engine/database.h"
 #include "exec/parallel.h"
@@ -47,22 +48,38 @@ class ExecParallelTest : public ::testing::Test {
     exec_ctx_ = ExecContext{&db_.catalog(), &db_.store(), &db_.methods()};
   }
 
-  /// The independent oracle: serial row-at-a-time drain, sorted.
-  std::vector<Row> RowModeDrainSorted(const algebra::LogicalRef& plan) {
+  /// The reference multiset: the serial batch drain, sorted. Its set
+  /// must equal the naive logical evaluator's, so the reference itself
+  /// is checked against code the executor does not share.
+  std::vector<Row> SerialDrainSorted(const algebra::LogicalRef& plan) {
     auto phys = BuildPhysical(plan, exec_ctx_);
     EXPECT_TRUE(phys.ok()) << phys.status().ToString();
     std::vector<Row> rows;
     if (!phys.ok()) return rows;
     PhysOperator* root = phys.value().get();
     EXPECT_TRUE(root->Open().ok());
+    RowBatch batch;
     Row row;
     for (;;) {
-      auto more = root->Next(&row);
+      auto more = root->NextBatch(&batch);
       EXPECT_TRUE(more.ok()) << more.status().ToString();
       if (!more.ok() || !more.value()) break;
-      rows.push_back(row);
+      batch.Compact();
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        batch.CopyRowTo(r, &row);
+        rows.push_back(row);
+      }
     }
     root->Close();
+    auto serial_set = ExecuteToSet(root);
+    EXPECT_TRUE(serial_set.ok()) << serial_set.status().ToString();
+    ExprEvaluator evaluator(&db_.catalog(), &db_.store(), &db_.methods());
+    auto logical = algebra::EvalLogical(plan, evaluator);
+    EXPECT_TRUE(logical.ok()) << logical.status().ToString();
+    if (serial_set.ok() && logical.ok()) {
+      EXPECT_EQ(serial_set.value(), logical.value())
+          << "serial drain disagrees with the logical evaluator";
+    }
     SortRows(&rows);
     return rows;
   }
@@ -82,11 +99,11 @@ class ExecParallelTest : public ::testing::Test {
   }
 
   /// Parallel drains at every thread count must reproduce the serial
-  /// row-mode multiset exactly.
+  /// batch multiset exactly.
   void CheckThreadSweep(const algebra::LogicalRef& plan,
                         const std::string& label,
                         size_t morsel_size = kDefaultMorselSize) {
-    std::vector<Row> oracle = RowModeDrainSorted(plan);
+    std::vector<Row> oracle = SerialDrainSorted(plan);
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       std::vector<Row> got = ParallelDrainSorted(plan, threads,
                                                  morsel_size);
@@ -95,7 +112,7 @@ class ExecParallelTest : public ::testing::Test {
       for (size_t i = 0; i < oracle.size(); ++i) {
         ASSERT_TRUE(RowsEqual(oracle[i], got[i]))
             << label << " at threads=" << threads << ": row " << i
-            << " differs from the serial row-mode drain";
+            << " differs from the serial batch drain";
       }
     }
   }
@@ -114,7 +131,7 @@ class ExecParallelTest : public ::testing::Test {
   }
 
   /// Full-stack parity for one VQL query: thread-sweep multiset parity
-  /// against the row-mode drain, plus value-set parity between the
+  /// against the serial batch drain, plus value-set parity between the
   /// parallel column driver and the row-mode naive interpreter.
   void CheckQuery(const std::string& text,
                   size_t morsel_size = kDefaultMorselSize) {
@@ -313,7 +330,7 @@ TEST_F(ExecParallelTest, ProjectDedupMergesAcrossWorkers) {
   EXPECT_TRUE(parallelized);
   std::vector<Row> got = std::move(rows).value();
   SortRows(&got);
-  std::vector<Row> oracle = RowModeDrainSorted(plan);
+  std::vector<Row> oracle = SerialDrainSorted(plan);
   ASSERT_EQ(oracle.size(), got.size());
   for (size_t i = 0; i < oracle.size(); ++i) {
     ASSERT_TRUE(RowsEqual(oracle[i], got[i])) << "row " << i;
@@ -358,7 +375,7 @@ TEST_F(ExecParallelTest, SetOperatorsFallBackToSerial) {
   EXPECT_FALSE(parallelized) << "set ops must take the serial fallback";
   std::vector<Row> got = std::move(rows).value();
   SortRows(&got);
-  std::vector<Row> oracle = RowModeDrainSorted(plan);
+  std::vector<Row> oracle = SerialDrainSorted(plan);
   ASSERT_EQ(oracle.size(), got.size());
 }
 

@@ -454,15 +454,14 @@ TEST_F(ExecSharedScanTest, EngineRunConcurrentMatchesRunAndNaive) {
     EXPECT_EQ(batch.value()[i].result, baseline.value()[i].result);
   }
 
-  // batch=false is honored per query (the row-at-a-time oracle mode),
-  // composing with shared scans.
-  options.shared_scan = true;
-  engine::RunOptions row_run;
-  row_run.batch = false;
-  auto row_mode = session.RunConcurrent(texts, options, plan, row_run);
-  ASSERT_TRUE(row_mode.ok());
+  // The row-mode interpreter, run as a concurrent batch over one
+  // shared extent pass, agrees query by query.
+  vql::Interpreter::Options row_mode;
+  row_mode.row_mode = true;
+  auto oracle = session.RunNaiveConcurrent(texts, row_mode);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   for (size_t i = 0; i < texts.size(); ++i) {
-    EXPECT_EQ(batch.value()[i].result, row_mode.value()[i].result);
+    EXPECT_EQ(batch.value()[i].result, oracle.value()[i]) << texts[i];
   }
 
   // An empty batch is a no-op, not a pool spawn.

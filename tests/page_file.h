@@ -4,7 +4,8 @@
 // process wrote and later faults back in can hold the other's bytes,
 // so its segment scans decode foreign OID columns. Every path is
 // therefore private to the process, and a stale file of the same name
-// is removed first so each test starts from an empty file.
+// is removed first so each test starts from an empty file;
+// ScopedPagePath also removes it when the test ends.
 #ifndef VODAK_TESTS_PAGE_FILE_H_
 #define VODAK_TESTS_PAGE_FILE_H_
 
@@ -23,6 +24,23 @@ inline std::string PrivatePagePath(const std::string& name) {
   std::remove(path.c_str());
   return path;
 }
+
+/// A PrivatePagePath that is removed again when this object goes out of
+/// scope, so a test leaves no page file behind. Declare it before the
+/// Pager or SegmentStore that opens the path, so it outlives them.
+class ScopedPagePath {
+ public:
+  explicit ScopedPagePath(const std::string& name)
+      : path_(PrivatePagePath(name)) {}
+  ~ScopedPagePath() { std::remove(path_.c_str()); }
+  ScopedPagePath(const ScopedPagePath&) = delete;
+  ScopedPagePath& operator=(const ScopedPagePath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace testing
 }  // namespace vodak

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -22,24 +22,20 @@
 #include "storage/value_serde.h"
 #include "types/value.h"
 
+#include "page_file.h"
 #include "test_seed.h"
 
 namespace vodak {
 namespace storage {
 namespace {
 
-/// A fresh page-file path per test; the previous run's file is removed
-/// so every test starts from an empty file.
-std::string TempPath(const char* name) {
-  std::string path = ::testing::TempDir() + "vodak_" + name + ".pages";
-  std::remove(path.c_str());
-  return path;
-}
+using testing::ScopedPagePath;
 
 // ------------------------------------------------------------- Pager
 
 TEST(PagerTest, WriteThenReadBackAcrossReopen) {
-  const std::string path = TempPath("pager_roundtrip");
+  const ScopedPagePath file("pager_roundtrip");
+  const std::string& path = file.path();
   PagerOptions options;
   options.page_size = 4096;
   options.cache_pages = 4;
@@ -76,7 +72,8 @@ TEST(PagerTest, WriteThenReadBackAcrossReopen) {
 }
 
 TEST(PagerTest, CacheHitsAndEvictionsUnderSmallBudget) {
-  const std::string path = TempPath("pager_evict");
+  const ScopedPagePath file("pager_evict");
+  const std::string& path = file.path();
   PagerOptions options;
   options.page_size = 1024;
   options.cache_pages = 2;
@@ -108,7 +105,8 @@ TEST(PagerTest, CacheHitsAndEvictionsUnderSmallBudget) {
 }
 
 TEST(PagerTest, PinFailsWhenEveryFrameIsPinned) {
-  const std::string path = TempPath("pager_allpinned");
+  const ScopedPagePath file("pager_allpinned");
+  const std::string& path = file.path();
   PagerOptions options;
   options.page_size = 512;
   options.cache_pages = 2;
@@ -129,7 +127,8 @@ TEST(PagerTest, PinFailsWhenEveryFrameIsPinned) {
 }
 
 TEST(PagerTest, ConcurrentPinnedReadersUnderEvictionChurn) {
-  const std::string path = TempPath("pager_concurrent");
+  const ScopedPagePath file("pager_concurrent");
+  const std::string& path = file.path();
   PagerOptions options;
   options.page_size = 256;
   // 3 readers each hold one pin; one spare frame keeps eviction
@@ -316,7 +315,8 @@ class SegmentStoreTest : public ::testing::Test {
     PagerOptions pager;
     pager.page_size = 4096;
     pager.cache_pages = 8;
-    auto segments = SegmentStore::Open(TempPath(name), pager);
+    page_files_.push_back(std::make_unique<ScopedPagePath>(name));
+    auto segments = SegmentStore::Open(page_files_.back()->path(), pager);
     EXPECT_TRUE(segments.ok()) << segments.status().ToString();
     ingest_.rows_per_segment = rows_per_segment;
     ingest_.untracked_slots = {1};
@@ -327,6 +327,9 @@ class SegmentStoreTest : public ::testing::Test {
   ObjectStore store_;
   uint32_t class_id_ = 0;
   IngestOptions ingest_;
+  /// Page files of the stores this test opened, removed at teardown
+  /// (after the test body has dropped its stores).
+  std::vector<std::unique_ptr<ScopedPagePath>> page_files_;
 };
 
 TEST_F(SegmentStoreTest, IngestRoundTripsLocalsAndColumns) {

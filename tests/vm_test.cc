@@ -1,7 +1,7 @@
 // Deterministic unit tests for the bytecode VM (exec/vm.h): per-opcode
 // lowering shapes, arena reset and steady-state zero-allocation,
 // empty/full selection behavior, masked AND/OR short-circuit parity
-// against the operator tree and the row-mode oracle, the
+// against the operator tree and the logical evaluator, the
 // fallback-eligibility edges, the engine's RunOptions::vm knob with
 // its EXPLAIN annotation, and the dispatch-vs-handoff counter relation
 // that ci.sh --vm gates on. The randomized corpus lives in
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "algebra/eval.h"
 #include "algebra/translate.h"
 #include "common/vm_stats.h"
 #include "engine/database.h"
@@ -61,12 +62,13 @@ class VmTest : public ::testing::Test {
 
   /// Drains any root through ExecuteColumn on `ref`, batch mode.
   Value Drain(PhysOperator* root, const std::string& ref) {
-    auto result = ExecuteColumn(root, ref, ExecMode::kBatch);
+    auto result = ExecuteColumn(root, ref);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? result.value() : Value::Null();
   }
 
-  /// VM (forced) vs operator tree vs row-mode oracle on one plan.
+  /// VM (forced) vs operator tree vs the naive logical evaluator (the
+  /// §4.1 set semantics, no shared code with either) on one plan.
   void CheckPlanParity(const algebra::LogicalRef& plan,
                        const std::string& ref, const std::string& label) {
     VmChoice choice = Compile(plan, /*force=*/true);
@@ -75,10 +77,12 @@ class VmTest : public ::testing::Test {
     auto tree = BuildPhysical(plan, exec_ctx_);
     ASSERT_TRUE(tree.ok()) << tree.status().ToString();
     const Value batch = Drain(tree.value().get(), ref);
-    auto row = ExecuteColumn(tree.value().get(), ref, ExecMode::kRow);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    const ExprEvaluator evaluator(&db_.catalog(), &db_.store(),
+                                  &db_.methods());
+    auto logical = algebra::EvalLogicalColumn(plan, ref, evaluator);
+    ASSERT_TRUE(logical.ok()) << logical.status().ToString();
     EXPECT_EQ(vm, batch) << label << " (vm vs tree)";
-    EXPECT_EQ(vm, row.value()) << label << " (vm vs row oracle)";
+    EXPECT_EQ(vm, logical.value()) << label << " (vm vs logical oracle)";
   }
 
   workload::DocumentDb db_;
@@ -337,15 +341,6 @@ TEST_F(VmTest, EngineKnobAndExplainAnnotation) {
             std::string::npos)
       << off_run.value().physical_explain;
   EXPECT_EQ(auto_run.value().result, off_run.value().result);
-
-  // Row mode never uses the VM (it is the oracle's drain).
-  engine::RunOptions row;
-  row.batch = false;
-  auto row_run = database.Run(query, no_opt, row);
-  ASSERT_TRUE(row_run.ok());
-  EXPECT_EQ(row_run.value().physical_explain.find("[vm:"),
-            std::string::npos);
-  EXPECT_EQ(auto_run.value().result, row_run.value().result);
 
   // An ineligible plan under kForce reports the fallback reason.
   engine::RunOptions force;
